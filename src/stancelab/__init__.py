@@ -10,11 +10,10 @@ from .hashtag_graph import (
     PropagationConfig,
     SeedSpec,
     build_cooccurrence_graph,
-    label_histogram,
     propagate_labels,
     seed_labels,
 )
-from .stance import Stance, StanceTable, classify_users, group_tweet_counts, user_polarity
+from .stance import Stance, StanceTable, classify_users, user_polarity
 from .commnet import (
     CommNetwork,
     NetworkKind,

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage plus ``run`` for the whole bundle.  Every
-subcommand takes ``--config`` (key=value file; see README) and a handful of
-override flags that take precedence over config fields.  Exit codes: 0 on
-success, 2 for configuration problems, 1 for stage failures (message is
-prefixed with the failing stage).
+subcommand takes ``--config`` (key=value file; see README) and one
+``--field-name`` flag per config field, which takes precedence over the
+file.  Exit codes: 0 on success, 2 for configuration problems, 1 for stage
+failures (message is prefixed with the failing stage).
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .pipeline import STAGE_ORDER, ConfigError, PipelineConfig, StageError, run_pipeline, run_stage
+from .pipeline import FIELD_TYPES, STAGE_ORDER, ConfigError, PipelineConfig, StageError, run_pipeline, run_stage
 
 __all__ = ["main", "build_parser"]
 
@@ -29,44 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, type=Path, help="key=value config file")
-    common.add_argument("--output-dir", type=Path, help="override output_dir")
-    common.add_argument("--corpus", type=Path, dest="corpus_path", help="override corpus_path")
-    common.add_argument("--seed-file", type=Path, help="override seed_file")
-    common.add_argument("--bot-scores", type=Path, dest="bot_scores_path", help="override bot_scores_path")
-    common.add_argument("--account-types", type=Path, dest="account_types_path", help="override account_types_path")
-    common.add_argument("--stopword-file", type=Path, help="override stopword_file")
-    common.add_argument("--gamma", type=int, help="slack growth period for propagation")
-    common.add_argument("--max-passes", type=int, help="propagation pass cap")
-    common.add_argument("--min-cooccurrence", type=int, help="minimum co-occurrence edge weight")
-    common.add_argument("--top-k", type=int, help="top-k cutoff for influencer measures")
-    common.add_argument("--lda-topics", type=int, help="number of LDA topics")
-    common.add_argument("--lda-iterations", type=int, help="Gibbs sweeps")
-    common.add_argument("--rng-seed", type=int, help="seed for all randomness")
-    common.add_argument("--top-n-words", type=int, help="rows in frequency/topic reports")
-    common.add_argument(
-        "--presence-weighting",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="weight each hashtag once per user instead of by usage count",
-    )
-    common.add_argument(
-        "--include-retweet-hashtags",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="count hashtags in retweets toward user polarity",
-    )
-    common.add_argument(
-        "--include-retweet-mentions",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="keep mention edges carried inside retweets",
-    )
-    common.add_argument(
-        "--strict-ingest",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="abort on malformed corpus lines instead of skipping them",
-    )
+    for f in fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if FIELD_TYPES[f.name] is bool:
+            common.add_argument(flag, action=argparse.BooleanOptionalAction, help=f"override {f.name}")
+        else:
+            common.add_argument(flag, metavar="VALUE", help=f"override {f.name}")
 
     sub.add_parser("run", parents=[common], help="run every stage and write the report bundle")
     for stage in STAGE_ORDER:
@@ -74,42 +42,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "output_dir",
-    "corpus_path",
-    "seed_file",
-    "bot_scores_path",
-    "account_types_path",
-    "stopword_file",
-    "gamma",
-    "max_passes",
-    "min_cooccurrence",
-    "top_k",
-    "lda_topics",
-    "lda_iterations",
-    "rng_seed",
-    "top_n_words",
-    "presence_weighting",
-    "include_retweet_hashtags",
-    "include_retweet_mentions",
-    "strict_ingest",
-)
+def load_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file with each given flag in place of its field.
 
-
-def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in _OVERRIDE_FIELDS
-        if getattr(args, name, None) is not None
-    }
-    return replace(cfg, **overrides) if overrides else cfg
+    A relative path in the file resolves against the file's directory, one
+    on the command line against the working directory.
+    """
+    cfg = PipelineConfig.from_file(args.config)
+    overrides = {}
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name)
+        if isinstance(value, str):  # every flag but the true/false ones
+            overrides[f.name] = PipelineConfig.parse_value(f.name, value, Path.cwd())
+        elif value is not None:
+            overrides[f.name] = value
+    return replace(cfg, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(PipelineConfig.from_file(args.config), args)
+        cfg = load_config(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

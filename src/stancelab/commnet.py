@@ -30,7 +30,6 @@ __all__ = [
     "attach_stances",
     "transpose",
     "export_graph",
-    "import_edge_csv",
     "network_to_dict",
     "network_from_dict",
 ]
@@ -257,21 +256,6 @@ def export_graph(net: CommNetwork, fmt: str, path: str | Path) -> None:
     except KeyError:
         raise ValueError(f"unknown export format {fmt!r}; use dot, gexf, or csv") from None
     exporter(net, Path(path))
-
-
-def import_edge_csv(path: str | Path, kind: NetworkKind = NetworkKind.ALL_COMMUNICATION) -> CommNetwork:
-    """Reload an edge CSV; nodes are the edge endpoints."""
-    net = CommNetwork(kind=kind)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["src", "dst", "weight"]:
-            raise ValueError(f"{path}: expected header 'src,dst,weight'")
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            net.add_edge(row[0], row[1], int(row[2]))
-    return net
 
 
 def network_to_dict(net: CommNetwork) -> dict:

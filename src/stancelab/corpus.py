@@ -132,10 +132,6 @@ class Corpus:
     def n_users(self) -> int:
         return len(self.users)
 
-    def tweets_by(self, user_id: str) -> list[TweetRecord]:
-        ids = self.users.get(user_id, set())
-        return [t for t in self.tweets if t.tweet_id in ids]
-
     def all_hashtags(self) -> set[str]:
         tags: set[str] = set()
         for t in self.tweets:

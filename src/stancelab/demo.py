@@ -107,16 +107,21 @@ def write_demo_inputs(dest: str | Path) -> dict[str, Path]:
 
 
 def write_demo_config(dest: str | Path, output_dir: str | Path | None = None) -> Path:
-    """Write demo inputs plus a ready-to-run config file; returns its path."""
+    """Write demo inputs plus a ready-to-run config file; returns its path.
+
+    The config names the inputs relative to its own directory, as the config
+    parser resolves them.  ``output_dir`` defaults to ``dest/report``; a
+    relative one is taken against the working directory.
+    """
     dest = Path(dest)
     paths = write_demo_inputs(dest)
-    out = Path(output_dir) if output_dir is not None else dest / "report"
+    out = Path(output_dir).resolve() if output_dir is not None else "report"
     config = "\n".join(
         [
-            f"corpus_path = {paths['corpus']}",
-            f"seed_file = {paths['seeds']}",
-            f"bot_scores_path = {paths['bot_scores']}",
-            f"account_types_path = {paths['account_types']}",
+            f"corpus_path = {paths['corpus'].name}",
+            f"seed_file = {paths['seeds'].name}",
+            f"bot_scores_path = {paths['bot_scores'].name}",
+            f"account_types_path = {paths['account_types'].name}",
             f"output_dir = {out}",
             "gamma = 1",
             "lda_topics = 3",

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
 
 from .corpus import Corpus, normalize_hashtag
 
@@ -22,11 +21,9 @@ __all__ = [
     "HashtagGraph",
     "SeedSpec",
     "PropagationConfig",
-    "LabelSummary",
     "build_cooccurrence_graph",
     "seed_labels",
     "propagate_labels",
-    "label_histogram",
     "read_labels_csv",
     "write_labels_csv",
     "graph_to_dict",
@@ -197,14 +194,12 @@ class PropagationConfig:
 
     ``gamma`` controls how fast the quorum slack grows (slack = pass // gamma);
     passes stop at the node count or at ``max_passes``, whichever is first.
-    ``node_key`` orders node visits (None = lexicographic).  With
-    ``unlabeled_as_zero`` the averaging denominators include unlabeled
+    With ``unlabeled_as_zero`` the averaging denominators include unlabeled
     neighbors, treating their label as 0.
     """
 
     gamma: int = 100
     max_passes: int = 1_000_000
-    node_key: Callable[[str], object] | None = None
     unlabeled_as_zero: bool = False
 
     def __post_init__(self) -> None:
@@ -217,10 +212,11 @@ class PropagationConfig:
 def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = None) -> dict[str, float]:
     """Spread seed polarities over the co-occurrence graph.
 
-    Pass p visits unlabeled nodes in order with slack l = p // gamma.  A node
-    whose labeled-neighbor count plus slack reaches its degree takes the
-    weight-averaged label of its labeled neighbors; updates are sequential, so
-    a node labeled early in a pass counts for later nodes in the same pass.
+    Pass p visits unlabeled nodes in lexicographic order with slack
+    l = p // gamma.  A node whose labeled-neighbor count plus slack reaches
+    its degree takes the weight-averaged label of its labeled neighbors;
+    updates are sequential, so a node labeled early in a pass counts for
+    later nodes in the same pass.
     Nodes that never acquire a labeled neighbor stay out of the result.
     Seed labels are returned unchanged.
     """
@@ -232,7 +228,7 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
             raise ValueError(f"label on unknown node {node!r}")
 
     labels = dict(graph.labels)
-    order = sorted(graph.adj, key=config.node_key) if config.node_key else sorted(graph.adj)
+    order = sorted(graph.adj)
     total = len(order)
     limit = min(total, config.max_passes)
 
@@ -269,26 +265,6 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
         if not progressed and not candidates:
             break  # remaining nodes have no labeled neighbor and never will
     return labels
-
-
-@dataclass(frozen=True)
-class LabelSummary:
-    negative: int
-    positive: int
-    zero: int
-    minimum: float | None
-    maximum: float | None
-
-
-def label_histogram(labels: dict[str, float]) -> LabelSummary:
-    values = list(labels.values())
-    return LabelSummary(
-        negative=sum(1 for v in values if v < 0),
-        positive=sum(1 for v in values if v > 0),
-        zero=sum(1 for v in values if v == 0),
-        minimum=min(values) if values else None,
-        maximum=max(values) if values else None,
-    )
 
 
 def write_labels_csv(labels: dict[str, float], path: str | Path) -> None:

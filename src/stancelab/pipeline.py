@@ -1,10 +1,23 @@
-"""End-to-end batch pipeline with file-cached stages.
+"""End-to-end batch pipeline over one table of cached intermediates.
 
-Each stage reads its inputs from the output directory and writes documented
-artifacts back into it, so stages can run one at a time (CLI subcommands) or
-all at once; both paths flow through the same files and produce identical
-bytes.  ``run_pipeline`` builds everything in a temporary directory first and
-only moves artifacts into place on success.
+The stages form one chain: ingest, hashtags, propagate, classify, networks,
+metrics, text, annotations, report.  ``_INTERMEDIATES`` states once, for each
+value a stage hands on to later stages (the corpus, the hashtag graph, the
+labels, the stance table and the five networks), its bundle path, the stage
+that produces it, the last stage that reads it, and how it is read and
+written.  Stages take their inputs and hand on their outputs through a
+``_Bundle``, whose ``put`` always writes the file:
+
+* ``run_pipeline`` also keeps each intermediate in memory until its last
+  reader has run, so later stages take it from there and the run reads back
+  no file it wrote.  It builds the bundle in a temporary sibling directory
+  and, once every stage has succeeded, renames it into place as
+  ``output_dir``.
+* ``run_stage`` runs one stage against ``output_dir`` and keeps nothing:
+  ``get`` reads the file, and a missing file fails with the name of the
+  stage that writes it.
+
+Both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -14,10 +27,10 @@ import json
 import logging
 import shutil
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .annotations import (
@@ -29,7 +42,6 @@ from .annotations import (
     write_sweep_csv,
 )
 from .commnet import (
-    CommNetwork,
     NetworkKind,
     all_communication,
     attach_stances,
@@ -104,7 +116,11 @@ class StageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """All pipeline knobs; mirrors the key=value config file one to one."""
+    """All pipeline knobs; mirrors the key=value config file one to one.
+
+    Parsing, the required keys, the input-file checks and the CLI flags all
+    follow from these fields and their type hints.
+    """
 
     corpus_path: Path
     seed_file: Path
@@ -136,13 +152,20 @@ class PipelineConfig:
     sweep_include_global: bool = False
     export_formats: tuple[str, ...] = ("csv",)
 
+    def input_files(self) -> dict[str, Path]:
+        """The input files this config names: every set path field but ``output_dir``."""
+        return {
+            f.name: Path(getattr(self, f.name))
+            for f in fields(self)
+            if Path in (FIELD_TYPES[f.name], *get_args(FIELD_TYPES[f.name]))
+            and f.name != "output_dir"
+            and getattr(self, f.name) is not None
+        }
+
     def validate(self) -> None:
-        for name in ("corpus_path", "seed_file", "bot_scores_path", "account_types_path"):
-            path = getattr(self, name)
-            if not Path(path).is_file():
+        for name, path in self.input_files().items():
+            if not path.is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
-        if self.stopword_file is not None and not Path(self.stopword_file).is_file():
-            raise ConfigError(f"stopword_file does not exist: {self.stopword_file}")
         if self.reciprocal_base not in _NETWORK_NAMES[:4]:
             raise ConfigError(f"reciprocal_base must be one of {_NETWORK_NAMES[:4]}")
         for fmt in self.export_formats:
@@ -188,73 +211,127 @@ class PipelineConfig:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             raw[key.strip()] = value.strip()
-        return cls._from_raw(raw, base_dir or Path.cwd())
+        unknown = set(raw) - set(FIELD_TYPES)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+                raise ConfigError(f"missing required config key {f.name!r}")
+        base_dir = base_dir or Path.cwd()
+        return cls(**{key: cls.parse_value(key, value, base_dir) for key, value in raw.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
         return cls.from_text(path.read_text(encoding="utf-8"), base_dir=path.resolve().parent)
 
-    @classmethod
-    def _from_raw(cls, raw: dict[str, str], base_dir: Path) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key in ("corpus_path", "seed_file", "bot_scores_path", "account_types_path", "output_dir"):
-            if key not in raw:
-                raise ConfigError(f"missing required config key {key!r}")
+    @staticmethod
+    def parse_value(name: str, text: str, base_dir: Path) -> Any:
+        """Field ``name``'s value from its text, converted by the field's type hint.
 
-        def path_of(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else (base_dir / p)
-
-        def boolean(key: str, value: str) -> bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ConfigError(f"{key}: expected true/false, got {value!r}")
-
-        kwargs: dict[str, object] = {}
-        for key, value in raw.items():
-            if key in ("corpus_path", "seed_file", "bot_scores_path", "account_types_path", "output_dir"):
-                kwargs[key] = path_of(value)
-            elif key == "stopword_file":
-                kwargs[key] = path_of(value) if value else None
-            elif key in (
-                "strict_ingest",
-                "unlabeled_as_zero",
-                "presence_weighting",
-                "include_retweet_hashtags",
-                "include_retweet_mentions",
-                "lda_pool_by_user",
-                "topics_include_hashtags",
-                "topics_exclude_hashtags_in_report",
-                "frequencies_include_hashtags",
-                "sweep_include_global",
-            ):
-                kwargs[key] = boolean(key, value)
-            elif key in ("min_cooccurrence", "gamma", "max_passes", "top_k", "lda_topics", "lda_iterations", "rng_seed", "top_n_words"):
-                kwargs[key] = int(value)
-            elif key in ("lda_beta",):
-                kwargs[key] = float(value)
-            elif key == "lda_alpha":
-                kwargs[key] = float(value) if value else None
-            elif key == "sweep_grid":
-                kwargs[key] = tuple(float(v) for v in value.split(",")) if value else _DEFAULT_GRID
-            elif key == "export_formats":
-                kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key == "reciprocal_base":
-                kwargs[key] = value
-        return cls(**kwargs)  # type: ignore[arg-type]
+        A relative path resolves against ``base_dir``.  An empty value means
+        None for an optional field and () for a tuple field.
+        """
+        try:
+            return _parse(FIELD_TYPES[name], text.strip(), base_dir)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _require(workdir: Path, rel: str, stage: str, producer: str) -> Path:
-    path = workdir / rel
-    if not path.exists():
-        raise StageError(stage, f"missing intermediate {rel!r}; run the {producer} stage first")
-    return path
+FIELD_TYPES: dict[str, Any] = get_type_hints(PipelineConfig)
+
+
+def _parse(hint: Any, text: str, base_dir: Path) -> Any:
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return tuple(_parse(args[0], part.strip(), base_dir) for part in text.split(",") if part.strip())
+    if args:  # X | None
+        return _parse(args[0], text, base_dir) if text else None
+    if hint is bool:
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected true/false, got {text!r}")
+    if hint is Path:
+        return base_dir / text  # an absolute text replaces base_dir
+    return hint(text)
+
+
+@dataclass(frozen=True)
+class _Intermediate:
+    path: str
+    producer: str
+    last_reader: str
+    read: Callable[[Path], Any]
+    write: Callable[[Any, Path], None]
+
+
+# The readers and writers look their functions up in this module's globals
+# when they run, so a function patched onto the module is the one called.
+_INTERMEDIATES: dict[str, _Intermediate] = {
+    "corpus": _Intermediate(
+        CORPUS_FILE, "ingest", "annotations", lambda p: load_corpus(p), lambda v, p: dump_corpus(v, p)
+    ),
+    "hashtag_graph": _Intermediate(
+        GRAPH_FILE, "hashtags", "propagate", lambda p: read_graph_json(p), lambda v, p: write_graph_json(v, p)
+    ),
+    "labels": _Intermediate(
+        LABELS_FILE, "propagate", "classify", lambda p: read_labels_csv(p), lambda v, p: write_labels_csv(v, p)
+    ),
+    "stance": _Intermediate(
+        STANCE_FILE, "classify", "annotations", lambda p: read_stance_csv(p), lambda v, p: write_stance_csv(v, p)
+    ),
+    **{
+        name: _Intermediate(
+            f"{NETWORKS_DIR}/{name}.json",
+            "networks",
+            "metrics",
+            lambda p: read_network_json(p),
+            lambda v, p: write_network_json(v, p),
+        )
+        for name in _NETWORK_NAMES
+    },
+}
+
+
+class _Bundle:
+    """One build's bundle directory, through which stages pass intermediates.
+
+    ``put`` writes an intermediate's file.  With ``keep`` it also holds the
+    value until ``forget`` is called after its last reader, and ``get``
+    returns it from memory; without, ``get`` reads the file.  ``stage``
+    names the running stage for error messages.
+    """
+
+    def __init__(self, root: Path, keep: bool) -> None:
+        self.root = root
+        self.stage = ""
+        self._kept: dict[str, Any] | None = {} if keep else None
+
+    def put(self, name: str, value: Any) -> None:
+        item = _INTERMEDIATES[name]
+        item.write(value, self.root / item.path)
+        if self._kept is not None:
+            self._kept[name] = value
+
+    def forget(self, stage: str) -> None:
+        """Drop the kept values that no stage after ``stage`` reads."""
+        if self._kept is not None:
+            for name in [n for n in self._kept if _INTERMEDIATES[n].last_reader == stage]:
+                del self._kept[name]
+
+    def get(self, name: str) -> Any:
+        if self._kept is not None:
+            return self._kept[name]
+        item = _INTERMEDIATES[name]
+        return item.read(self.require(item.path, item.producer))
+
+    def require(self, rel: str, producer: str) -> Path:
+        path = self.root / rel
+        if not path.is_file():
+            raise StageError(self.stage, f"missing intermediate {rel!r}; run the {producer} stage first")
+        return path
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -263,7 +340,11 @@ def _write_json(path: Path, payload: object) -> None:
         fh.write("\n")
 
 
-def stage_ingest(cfg: PipelineConfig, workdir: Path) -> None:
+def _export_path(name: str, fmt: str) -> str:
+    return f"{NETWORKS_DIR}/{name}.{'edges.csv' if fmt == 'csv' else fmt}"
+
+
+def stage_ingest(cfg: PipelineConfig, bundle: _Bundle) -> None:
     corpus = load_corpus(cfg.corpus_path, strict=cfg.strict_ingest)
     if corpus.skipped_count or corpus.duplicate_count:
         logger.warning(
@@ -271,17 +352,15 @@ def stage_ingest(cfg: PipelineConfig, workdir: Path) -> None:
             corpus.skipped_count,
             corpus.duplicate_count,
         )
-    dump_corpus(corpus, workdir / CORPUS_FILE)
+    bundle.put("corpus", corpus)
 
 
-def stage_hashtags(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(_require(workdir, CORPUS_FILE, "hashtags", "ingest"))
-    graph = build_cooccurrence_graph(corpus, cfg.min_cooccurrence)
-    write_graph_json(graph, workdir / GRAPH_FILE)
+def stage_hashtags(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    bundle.put("hashtag_graph", build_cooccurrence_graph(bundle.get("corpus"), cfg.min_cooccurrence))
 
 
-def stage_propagate(cfg: PipelineConfig, workdir: Path) -> None:
-    graph = read_graph_json(_require(workdir, GRAPH_FILE, "propagate", "hashtags"))
+def stage_propagate(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    graph = bundle.get("hashtag_graph")
     seeds = SeedSpec.from_csv(cfg.seed_file)
     seeded, missing = seed_labels(graph, seeds)
     if missing:
@@ -294,24 +373,23 @@ def stage_propagate(cfg: PipelineConfig, workdir: Path) -> None:
             unlabeled_as_zero=cfg.unlabeled_as_zero,
         ),
     )
-    write_labels_csv(labels, workdir / LABELS_FILE)
+    bundle.put("labels", labels)
 
 
-def stage_classify(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(_require(workdir, CORPUS_FILE, "classify", "ingest"))
-    labels = read_labels_csv(_require(workdir, LABELS_FILE, "classify", "propagate"))
+def stage_classify(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    corpus = bundle.get("corpus")
     table = classify_users(
         corpus,
-        labels,
+        bundle.get("labels"),
         count_weighting=not cfg.presence_weighting,
         include_retweet_hashtags=cfg.include_retweet_hashtags,
     )
-    write_stance_csv(table, workdir / STANCE_FILE)
+    bundle.put("stance", table)
 
 
-def stage_networks(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(_require(workdir, CORPUS_FILE, "networks", "ingest"))
-    table = read_stance_csv(_require(workdir, STANCE_FILE, "networks", "classify"))
+def stage_networks(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    corpus = bundle.get("corpus")
+    table = bundle.get("stance")
 
     retweet = build_network(corpus, NetworkKind.RETWEET)
     mention = build_network(corpus, NetworkKind.MENTION, include_retweet_mentions=cfg.include_retweet_mentions)
@@ -323,30 +401,21 @@ def stage_networks(cfg: PipelineConfig, workdir: Path) -> None:
         "reply": reply,
         "all_communication": combined,
     }
-    reciprocal = reciprocal_subnetwork(bases[cfg.reciprocal_base])
-
-    nets = dict(bases)
-    nets["reciprocal"] = reciprocal
-    net_dir = workdir / NETWORKS_DIR
-    net_dir.mkdir(parents=True, exist_ok=True)
+    nets = dict(bases, reciprocal=reciprocal_subnetwork(bases[cfg.reciprocal_base]))
+    (bundle.root / NETWORKS_DIR).mkdir(parents=True, exist_ok=True)
     for name in _NETWORK_NAMES:
         net = attach_stances(nets[name], table)
-        write_network_json(net, net_dir / f"{name}.json")
+        bundle.put(name, net)
         for fmt in cfg.export_formats:
-            suffix = "edges.csv" if fmt == "csv" else fmt
-            export_graph(net, fmt, net_dir / f"{name}.{suffix}")
+            export_graph(net, fmt, bundle.root / _export_path(name, fmt))
 
 
-def _load_cached_network(workdir: Path, name: str, stage: str) -> CommNetwork:
-    return read_network_json(_require(workdir, f"{NETWORKS_DIR}/{name}.json", stage, "networks"))
-
-
-def stage_metrics(cfg: PipelineConfig, workdir: Path) -> None:
-    table = read_stance_csv(_require(workdir, STANCE_FILE, "metrics", "classify"))
-    combined = _load_cached_network(workdir, "all_communication", "metrics")
-    mention = _load_cached_network(workdir, "mention", "metrics")
-    retweet = _load_cached_network(workdir, "retweet", "metrics")
-    reciprocal = _load_cached_network(workdir, "reciprocal", "metrics")
+def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    table = bundle.get("stance")
+    combined = bundle.get("all_communication")
+    mention = bundle.get("mention")
+    retweet = bundle.get("retweet")
+    reciprocal = bundle.get("reciprocal")
 
     echo_rows = []
     for stance in _INFLUENCER_GROUPS:
@@ -365,15 +434,15 @@ def stage_metrics(cfg: PipelineConfig, workdir: Path) -> None:
                 }
             )
     echo_rows.sort(key=lambda row: (row["group"], row["with_unclassified"]))
-    _write_json(workdir / METRICS_FILE, echo_rows)
+    _write_json(bundle.root / METRICS_FILE, echo_rows)
 
     base = influence_base(mention, retweet)
     summary: dict[str, dict] = {"k": cfg.top_k, "super_spreaders": {}, "super_friends": {}}
     for stance in _INFLUENCER_GROUPS:
         spread = super_spreaders(group_subgraph(base, table, {stance}), cfg.top_k)
         friends = super_friends(group_subgraph(reciprocal, table, {stance}), cfg.top_k)
-        write_influencer_csv(spread, workdir / f"super_spreaders_{stance.value}.csv")
-        write_influencer_csv(friends, workdir / f"super_friends_{stance.value}.csv")
+        write_influencer_csv(spread, bundle.root / f"super_spreaders_{stance.value}.csv")
+        write_influencer_csv(friends, bundle.root / f"super_friends_{stance.value}.csv")
         summary["super_spreaders"][stance.value] = {
             "super_count": len(spread.super_accounts),
             "node_count": len(spread.measures),
@@ -384,16 +453,16 @@ def stage_metrics(cfg: PipelineConfig, workdir: Path) -> None:
             "node_count": len(friends.measures),
             "fraction": friends.fraction,
         }
-    _write_json(workdir / INFLUENCER_SUMMARY_FILE, summary)
+    _write_json(bundle.root / INFLUENCER_SUMMARY_FILE, summary)
 
 
-def stage_text(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(_require(workdir, CORPUS_FILE, "text", "ingest"))
-    table = read_stance_csv(_require(workdir, STANCE_FILE, "text", "classify"))
+def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    corpus = bundle.get("corpus")
+    table = bundle.get("stance")
     stopwords = load_stopwords(cfg.stopword_file) if cfg.stopword_file else default_stopwords()
     hashtag_vocab = corpus.all_hashtags()
 
-    text_dir = workdir / TEXT_DIR
+    text_dir = bundle.root / TEXT_DIR
     text_dir.mkdir(parents=True, exist_ok=True)
     for stance in _INFLUENCER_GROUPS:
         members = table.group(stance)
@@ -429,38 +498,27 @@ def stage_text(cfg: PipelineConfig, workdir: Path) -> None:
             _write_json(topics_path, [])
 
 
-def stage_annotations(cfg: PipelineConfig, workdir: Path) -> None:
-    corpus = load_corpus(_require(workdir, CORPUS_FILE, "annotations", "ingest"))
-    table = read_stance_csv(_require(workdir, STANCE_FILE, "annotations", "classify"))
+def stage_annotations(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    corpus = bundle.get("corpus")
+    table = bundle.get("stance")
     scores = load_bot_scores(cfg.bot_scores_path)
     types = load_account_types(cfg.account_types_path)
     rows = bot_threshold_sweep(corpus, table, scores, cfg.sweep_grid, include_global=cfg.sweep_include_global)
-    write_sweep_csv(rows, workdir / SWEEP_FILE)
-    write_concentration_json(news_source_concentration(corpus, table, types), workdir / CONCENTRATION_FILE)
+    write_sweep_csv(rows, bundle.root / SWEEP_FILE)
+    write_concentration_json(news_source_concentration(corpus, table, types), bundle.root / CONCENTRATION_FILE)
 
 
 def bundle_files(cfg: PipelineConfig) -> dict[str, str]:
-    """Expected bundle artifacts (relative path -> producing stage)."""
-    out = {
-        CORPUS_FILE: "ingest",
-        GRAPH_FILE: "hashtags",
-        LABELS_FILE: "propagate",
-        STANCE_FILE: "classify",
-        METRICS_FILE: "metrics",
-        INFLUENCER_SUMMARY_FILE: "metrics",
-        SWEEP_FILE: "annotations",
-        CONCENTRATION_FILE: "annotations",
-    }
+    """Every bundle file but the manifest (relative path -> producing stage)."""
+    out = {item.path: item.producer for item in _INTERMEDIATES.values()}
     for name in _NETWORK_NAMES:
-        out[f"{NETWORKS_DIR}/{name}.json"] = "networks"
         for fmt in cfg.export_formats:
-            suffix = "edges.csv" if fmt == "csv" else fmt
-            out[f"{NETWORKS_DIR}/{name}.{suffix}"] = "networks"
+            out[_export_path(name, fmt)] = "networks"
+    out[METRICS_FILE] = out[INFLUENCER_SUMMARY_FILE] = "metrics"
     for stance in _INFLUENCER_GROUPS:
-        out[f"super_spreaders_{stance.value}.csv"] = "metrics"
-        out[f"super_friends_{stance.value}.csv"] = "metrics"
-        out[f"{TEXT_DIR}/frequencies_{stance.value}.csv"] = "text"
-        out[f"{TEXT_DIR}/topics_{stance.value}.json"] = "text"
+        out[f"super_spreaders_{stance.value}.csv"] = out[f"super_friends_{stance.value}.csv"] = "metrics"
+        out[f"{TEXT_DIR}/frequencies_{stance.value}.csv"] = out[f"{TEXT_DIR}/topics_{stance.value}.json"] = "text"
+    out[SWEEP_FILE] = out[CONCENTRATION_FILE] = "annotations"
     return out
 
 
@@ -472,19 +530,11 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
+def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
     """Verify the bundle and write the manifest (the only timestamped file)."""
     expected = bundle_files(cfg)
     for rel, producer in sorted(expected.items()):
-        _require(workdir, rel, "report", producer)
-    inputs = {
-        "corpus_path": _file_sha256(Path(cfg.corpus_path)),
-        "seed_file": _file_sha256(Path(cfg.seed_file)),
-        "bot_scores_path": _file_sha256(Path(cfg.bot_scores_path)),
-        "account_types_path": _file_sha256(Path(cfg.account_types_path)),
-    }
-    if cfg.stopword_file is not None:
-        inputs["stopword_file"] = _file_sha256(Path(cfg.stopword_file))
+        bundle.require(rel, producer)
     manifest = {
         "artifact": "stancelab",
         "version": __version__,
@@ -492,13 +542,13 @@ def stage_report(cfg: PipelineConfig, workdir: Path) -> None:
         "config_hash": cfg.config_hash(),
         "config_text": cfg.to_text(),
         "rng_seed": cfg.rng_seed,
-        "input_digests": inputs,
-        "outputs": {rel: _file_sha256(workdir / rel) for rel in sorted(expected)},
+        "input_digests": {name: _file_sha256(path) for name, path in cfg.input_files().items()},
+        "outputs": {rel: _file_sha256(bundle.root / rel) for rel in sorted(expected)},
     }
-    _write_json(workdir / MANIFEST_FILE, manifest)
+    _write_json(bundle.root / MANIFEST_FILE, manifest)
 
 
-_STAGES: dict[str, Callable[[PipelineConfig, Path], None]] = {
+_STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {
     "ingest": stage_ingest,
     "hashtags": stage_hashtags,
     "propagate": stage_propagate,
@@ -513,40 +563,58 @@ _STAGES: dict[str, Callable[[PipelineConfig, Path], None]] = {
 STAGE_ORDER = tuple(_STAGES)
 
 
-def run_stage(name: str, cfg: PipelineConfig, workdir: Path | None = None) -> None:
-    """Run one stage against the output directory (creates it if needed)."""
-    cfg.validate()
-    workdir = Path(workdir) if workdir is not None else Path(cfg.output_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
+def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
+    bundle.stage = name
     try:
-        _STAGES[name](cfg, workdir)
+        _STAGES[name](cfg, bundle)
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
 
 
-def run_pipeline(cfg: PipelineConfig) -> Path:
-    """Run every stage and assemble the report bundle.
+def run_stage(name: str, cfg: PipelineConfig) -> None:
+    """Run one stage against ``cfg.output_dir`` (created if needed)."""
+    cfg.validate()
+    root = Path(cfg.output_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    _call(name, cfg, _Bundle(root, keep=False))
 
-    Artifacts are staged in a temporary sibling directory and moved into
-    ``cfg.output_dir`` only after all stages succeed, so a failing stage
-    leaves no partial outputs behind.
+
+def run_pipeline(cfg: PipelineConfig) -> Path:
+    """Run every stage and move the finished bundle into ``cfg.output_dir``.
+
+    The bundle is built in a temporary sibling directory, so a failing stage
+    leaves ``output_dir`` as it was.  An existing ``output_dir`` is renamed
+    aside, replaced by rename, and deleted only once the new bundle is in
+    place.  It is replaced only if it is empty or holds a manifest, so a
+    mistyped path cannot wipe an unrelated directory.
     """
     cfg.validate()
     out_dir = Path(cfg.output_dir)
+    if (
+        out_dir.exists()
+        and not (out_dir / MANIFEST_FILE).is_file()
+        and (not out_dir.is_dir() or any(out_dir.iterdir()))
+    ):
+        raise StageError("run", f"refusing to replace {out_dir}: it is not empty and holds no {MANIFEST_FILE}")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
     try:
-        for name, fn in _STAGES.items():
-            try:
-                fn(cfg, tmp)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(name, str(exc)) from exc
-        out_dir.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(tmp, out_dir, dirs_exist_ok=True)
+        built, aside = work / "new", work / "old"
+        built.mkdir()
+        bundle = _Bundle(built, keep=True)
+        for name in _STAGES:
+            _call(name, cfg, bundle)
+            bundle.forget(name)
+        if out_dir.exists():
+            out_dir.rename(aside)
+        try:
+            built.rename(out_dir)
+        except OSError:
+            if aside.exists():
+                aside.rename(out_dir)
+            raise
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return out_dir

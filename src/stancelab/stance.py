@@ -21,7 +21,6 @@ __all__ = [
     "stance_from_polarity",
     "user_polarity",
     "classify_users",
-    "group_tweet_counts",
     "read_stance_csv",
     "write_stance_csv",
 ]
@@ -97,7 +96,10 @@ def user_polarity(
     None when the user used no labeled hashtag.  Raises KeyError for users
     absent from the corpus.
     """
-    usage = _labeled_usage(corpus, labels, user_id, count_weighting, include_retweet_hashtags)
+    return _average(_labeled_usage(corpus, labels, user_id, count_weighting, include_retweet_hashtags), labels)
+
+
+def _average(usage: list[tuple[str, int]], labels: dict[str, float]) -> float | None:
     if not usage:
         return None
     score = 0.0
@@ -119,33 +121,14 @@ def classify_users(
     rows: dict[str, StanceRow] = {}
     for user_id in corpus.users:
         usage = _labeled_usage(corpus, labels, user_id, count_weighting, include_retweet_hashtags)
-        if usage:
-            score = 0.0
-            total = 0.0
-            for tag, weight in usage:
-                score += labels[tag] * weight
-                total += weight
-            polarity: float | None = score / total
-            hashtag_count = sum(w for _, w in usage)
-        else:
-            polarity = None
-            hashtag_count = 0
+        polarity = _average(usage, labels)
         rows[user_id] = StanceRow(
             user_id=user_id,
             polarity=polarity,
             stance=stance_from_polarity(polarity),
-            hashtag_count=hashtag_count,
+            hashtag_count=sum(w for _, w in usage),
         )
     return StanceTable(rows=rows)
-
-
-def group_tweet_counts(corpus: Corpus, table: StanceTable) -> dict[Stance, int]:
-    """Tweet totals by author stance; authors missing from the table count as
-    unclassified."""
-    out = {s: 0 for s in Stance}
-    for t in corpus.tweets:
-        out[table.stance_of(t.user_id)] += 1
-    return out
 
 
 def write_stance_csv(table: StanceTable, path: str | Path) -> None:

@@ -161,7 +161,6 @@ def lda_fit(
     beta: float = 0.01,
     iterations: int = 1000,
     seed: int = 0,
-    validate_counts: bool = False,
 ) -> TopicModel:
     """Collapsed Gibbs sampling.
 
@@ -219,9 +218,6 @@ def lda_fit(
             n_dt[d, t_new] += 1
             n_tw[t_new, w] += 1
             n_t[t_new] += 1
-        if validate_counts:
-            assert int(n_t.sum()) == n_tokens, "topic counts lost tokens"
-            assert int(n_dt.sum()) == n_tokens and int(n_tw.sum()) == n_tokens
 
     phi = (n_tw + beta) / (n_t + v_beta)[:, None]
     doc_lengths = n_dt.sum(axis=1)

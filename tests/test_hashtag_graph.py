@@ -5,13 +5,11 @@ import pytest
 
 from stancelab.hashtag_graph import (
     HashtagGraph,
-    LabelSummary,
     PropagationConfig,
     SeedSpec,
     build_cooccurrence_graph,
     graph_from_dict,
     graph_to_dict,
-    label_histogram,
     propagate_labels,
     read_labels_csv,
     seed_labels,
@@ -204,21 +202,6 @@ class TestPropagation:
         # h2 unlabeled at h3's turn: its weight joins the denominator as label 0
         assert relaxed["h3"] == (1.0 * 2) / 3
 
-    def test_node_order_rule_is_configurable(self):
-        # h3/h4 race for the single slack pass; visit order decides who
-        # averages in whom
-        g = HashtagGraph()
-        g.add_edge("h1", "h3", 1)
-        g.add_edge("h1", "h4", 2)
-        g.add_edge("h3", "h4", 1)
-        seeded, _ = seed_labels(g, SeedSpec.from_pairs([("h1", 1)]))
-        forward = propagate_labels(seeded, PropagationConfig(gamma=1))
-        backward = propagate_labels(
-            seeded, PropagationConfig(gamma=1, node_key=lambda n: tuple(-ord(c) for c in n))
-        )
-        assert forward.keys() == backward.keys()
-        assert forward["h1"] == backward["h1"] == 1.0
-
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -288,18 +271,6 @@ class TestPropagation:
                 expected_sign = 1.0 if node.startswith("a") else -1.0
                 assert math.copysign(1.0, labels[node]) == expected_sign
                 assert labels[node] != 0
-
-
-class TestHistogram:
-    def test_mixed(self):
-        assert label_histogram({"a": -1.0, "b": 1.0, "c": 0.0}) == LabelSummary(1, 1, 1, -1.0, 1.0)
-
-    def test_empty(self):
-        assert label_histogram({}) == LabelSummary(0, 0, 0, None, None)
-
-    def test_worked_propagation_output(self):
-        summary = label_histogram(propagate_labels(worked_example_graph()))
-        assert (summary.negative, summary.positive, summary.zero) == (1, 2, 0)
 
 
 def test_labels_csv_roundtrip(tmp_path):

@@ -1,13 +1,19 @@
 import hashlib
 import json
-from dataclasses import replace
+import re
+import string
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, strategies as st
 
-from stancelab.cli import main
+import stancelab.pipeline as pipeline
+from stancelab.cli import build_parser, load_config, main
 from stancelab.demo import write_demo_config, write_demo_inputs
 from stancelab.pipeline import (
+    FIELD_TYPES,
     STAGE_ORDER,
     ConfigError,
     PipelineConfig,
@@ -67,6 +73,12 @@ class TestConfig:
         cfg = PipelineConfig.from_file(cfg_file)
         assert cfg.corpus_path == tmp_path / "corpus.jsonl"
         cfg.validate()
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert keys == [f.name for f in fields(PipelineConfig)]
 
     def test_bad_values_rejected(self, demo_cfg):
         _, cfg = demo_cfg
@@ -210,3 +222,116 @@ class TestCli:
         d1_presence = next(r for r in presence_rows if r.startswith("d1,"))
         # presence weighting averages d1's four labeled hashtags once each
         assert float(d1_presence.split(",")[1]) == pytest.approx((-1 - 1 - 1 + 1 / 3) / 4)
+
+
+_WORD = st.text(alphabet=string.ascii_letters + string.digits + "_-", min_size=1, max_size=8)
+
+
+def _values(hint):
+    """Values of a config field's type that its text form can carry."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return st.lists(_values(args[0]), max_size=4).map(tuple)
+    if args:
+        return st.none() | _values(args[0])
+    if hint is Path:
+        return st.lists(_WORD, min_size=1, max_size=3).map(lambda parts: Path("/", *parts))
+    return {
+        bool: st.booleans(),
+        int: st.integers(),
+        float: st.floats(allow_nan=False, allow_infinity=False),
+        str: _WORD,
+    }[hint]
+
+
+@given(st.fixed_dictionaries({name: _values(hint) for name, hint in FIELD_TYPES.items()}))
+def test_config_text_roundtrip(values):
+    cfg = PipelineConfig(**values)
+    assert PipelineConfig.from_text(cfg.to_text()) == cfg
+
+
+class TestFlags:
+    def test_one_flag_per_field(self):
+        for f in fields(PipelineConfig):
+            value = [] if FIELD_TYPES[f.name] is bool else ["x"]
+            args = build_parser().parse_args(["run", "--config", "c.cfg", "--" + f.name.replace("_", "-"), *value])
+            assert getattr(args, f.name) is not None
+
+    def test_old_spellings_still_parse(self):
+        args = build_parser().parse_args(
+            ["run", "--config", "c.cfg", "--corpus", "a.jsonl", "--bot-scores", "b.csv", "--account-types", "t.csv"]
+        )
+        assert (args.corpus_path, args.bot_scores_path, args.account_types_path) == ("a.jsonl", "b.csv", "t.csv")
+
+    def test_relative_paths_resolve_per_source(self, tmp_path, monkeypatch):
+        inputs = tmp_path / "inputs"
+        write_demo_inputs(inputs)
+        cfg_file = inputs / "c.cfg"
+        cfg_file.write_text(
+            "corpus_path = corpus.jsonl\nseed_file = seeds.csv\n"
+            "bot_scores_path = bot_scores.csv\naccount_types_path = account_types.csv\n"
+            "output_dir = out\n",
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(["run", "--config", "inputs/c.cfg", "--seed-file", "inputs/seeds.csv"])
+        cfg = load_config(args)
+        assert cfg.corpus_path == inputs / "corpus.jsonl"
+        assert cfg.seed_file == tmp_path / "inputs" / "seeds.csv"
+        assert cfg.output_dir == inputs / "out"
+
+    def test_typed_flag_values(self, demo_cfg):
+        cfg_path, _ = demo_cfg
+        args = build_parser().parse_args(
+            ["run", "--config", str(cfg_path), "--gamma", "7", "--lda-alpha", "", "--sweep-grid", "0.1,0.5",
+             "--no-include-retweet-hashtags"]
+        )  # fmt: skip
+        cfg = load_config(args)
+        assert (cfg.gamma, cfg.lda_alpha, cfg.sweep_grid, cfg.include_retweet_hashtags) == (7, None, (0.1, 0.5), False)
+
+    def test_bad_flag_value_exits_2(self, demo_cfg, capsys):
+        cfg_path, _ = demo_cfg
+        assert main(["run", "--config", str(cfg_path), "--gamma", "many"]) == 2
+        assert "gamma" in capsys.readouterr().err
+
+
+class TestInMemoryRun:
+    def test_run_parses_the_corpus_once_and_reads_no_network(self, demo_cfg, monkeypatch):
+        _, cfg = demo_cfg
+        calls = {"load_corpus": 0, "read_network_json": 0}
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        run_pipeline(cfg)
+        assert calls == {"load_corpus": 1, "read_network_json": 0}
+
+    def test_rerun_with_fewer_exports_leaves_only_manifest_files(self, demo_cfg):
+        _, cfg = demo_cfg
+        assert set(cfg.export_formats) == {"csv", "gexf", "dot"}
+        run_pipeline(cfg)
+        out = run_pipeline(replace(cfg, export_formats=("csv",)))
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert on_disk == set(manifest["outputs"]) | {"manifest.json"}
+        assert not list(out.parent.glob(f".{out.name}-*"))
+
+    def test_refuses_to_replace_a_directory_without_manifest(self, demo_cfg, tmp_path):
+        _, cfg = demo_cfg
+        unrelated = tmp_path / "precious"
+        unrelated.mkdir()
+        (unrelated / "thesis.tex").write_text("keep me", encoding="utf-8")
+        with pytest.raises(StageError, match="manifest"):
+            run_pipeline(replace(cfg, output_dir=unrelated))
+        assert [p.name for p in unrelated.iterdir()] == ["thesis.tex"]
+        assert (unrelated / "thesis.tex").read_text(encoding="utf-8") == "keep me"
+
+    def test_demo_config_runs_from_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_demo_config("demo_data")
+        assert main(["run", "--config", "demo_data/config.cfg"]) == 0
+        assert (tmp_path / "demo_data" / "report" / "manifest.json").is_file()

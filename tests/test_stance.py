@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from stancelab.stance import (
     Stance,
     classify_users,
-    group_tweet_counts,
     read_stance_csv,
     stance_from_polarity,
     user_polarity,
@@ -76,30 +75,6 @@ def test_all_users_share_positive_hashtag():
     corpus = make_corpus(*(make_tweet(f"t{i}", f"u{i}", hashtags=["h3"]) for i in range(5)))
     table = classify_users(corpus, LABELS)
     assert all(row.stance is Stance.BELIEVER for row in table.rows.values())
-
-
-class TestGroupTweetCounts:
-    def test_disbeliever_wrote_two(self):
-        corpus = make_corpus(
-            make_tweet("t1", "u1", hashtags=["h2"]),
-            make_tweet("t2", "u1"),
-        )
-        table = classify_users(corpus, LABELS)
-        assert group_tweet_counts(corpus, table)[Stance.DISBELIEVER] == 2
-
-    def test_no_unclassified_users(self):
-        corpus = make_corpus(make_tweet("t1", "u1", hashtags=["h3"]))
-        table = classify_users(corpus, LABELS)
-        assert group_tweet_counts(corpus, table)[Stance.UNCLASSIFIED] == 0
-
-    def test_five_three_two_split(self):
-        tweets = [make_tweet(f"d{i}", "u_d", hashtags=["h2"]) for i in range(5)]
-        tweets += [make_tweet(f"b{i}", "u_b", hashtags=["h3"]) for i in range(3)]
-        tweets += [make_tweet(f"x{i}", "u_x") for i in range(2)]
-        corpus = make_corpus(*tweets)
-        table = classify_users(corpus, LABELS)
-        counts = group_tweet_counts(corpus, table)
-        assert (counts[Stance.DISBELIEVER], counts[Stance.BELIEVER], counts[Stance.UNCLASSIFIED]) == (5, 3, 2)
 
 
 @given(st.integers(0, 2**32 - 1))

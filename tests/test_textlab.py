@@ -130,11 +130,6 @@ class TestLdaFit:
         assert np.allclose(model.phi.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         assert np.allclose(model.theta.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
-    def test_token_conservation_checks_pass(self):
-        rng = np.random.default_rng(2)
-        docs, _, _ = self.disjoint_docs(rng, n_docs=6, doc_len=8)
-        lda_fit(docs, k=2, iterations=5, seed=3, validate_counts=True)
-
     def test_disjoint_vocabularies_separate(self):
         rng = np.random.default_rng(3)
         docs, vocab_a, vocab_b = self.disjoint_docs(rng, n_docs=30)
