@@ -9,13 +9,12 @@ news-typed accounts.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
+from .fileio import read_csv, write_csv, write_json
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -47,41 +46,25 @@ class BotScoreTable:
 def load_bot_scores(path: str | Path) -> BotScoreTable:
     """Bot scores CSV: header ``user_id,probability``."""
     scores: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or not "".join(row).strip():
-                continue
-            if line_no == 1 and [c.strip().lower() for c in row[:2]] == ["user_id", "probability"]:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {line_no}: expected 'user_id,probability'")
-            try:
-                prob = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: bad probability {row[1]!r}") from exc
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{path}: line {line_no}: probability {prob} out of [0, 1]")
-            scores[row[0]] = prob
+    for line_no, row in read_csv(path, ("user_id", "probability"), header_optional=True):
+        try:
+            prob = float(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: bad probability {row[1]!r}") from exc
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"{path}: line {line_no}: probability {prob} out of [0, 1]")
+        scores[row[0]] = prob
     return BotScoreTable(scores=scores)
 
 
 def load_account_types(path: str | Path) -> dict[str, str]:
     """Account types CSV: header ``user_id,type`` with type in {news, other}."""
     types: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or not "".join(row).strip():
-                continue
-            if line_no == 1 and [c.strip().lower() for c in row[:2]] == ["user_id", "type"]:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {line_no}: expected 'user_id,type'")
-            kind = row[1].strip().lower()
-            if kind not in _ACCOUNT_TYPES:
-                raise ValueError(f"{path}: line {line_no}: unknown account type {row[1]!r}")
-            types[row[0]] = kind
+    for line_no, row in read_csv(path, ("user_id", "type"), header_optional=True):
+        kind = row[1].strip().lower()
+        if kind not in _ACCOUNT_TYPES:
+            raise ValueError(f"{path}: line {line_no}: unknown account type {row[1]!r}")
+        types[row[0]] = kind
     return types
 
 
@@ -146,13 +129,14 @@ def bot_threshold_sweep(
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "group", "account_fraction", "tweet_fraction", "unscored_count"])
-        for row in rows:
-            writer.writerow(
-                [repr(row.threshold), row.group, repr(row.account_fraction), repr(row.tweet_fraction), row.unscored_count]
-            )
+    write_csv(
+        path,
+        ("threshold", "group", "account_fraction", "tweet_fraction", "unscored_count"),
+        (
+            (repr(row.threshold), row.group, repr(row.account_fraction), repr(row.tweet_fraction), row.unscored_count)
+            for row in rows
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -220,6 +204,4 @@ def write_concentration_json(reports: list[NewsGroupReport], path: str | Path) -
         }
         for r in reports
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -9,8 +9,6 @@ actor -> target; self-interactions are excluded from edges but tallied in
 
 from __future__ import annotations
 
-import csv
-import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus, InteractionKind, extract_interactions
+from .fileio import read_json, write_csv, write_json
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -30,8 +29,8 @@ __all__ = [
     "attach_stances",
     "transpose",
     "export_graph",
-    "network_to_dict",
-    "network_from_dict",
+    "read_network_json",
+    "write_network_json",
 ]
 
 
@@ -239,11 +238,7 @@ def _export_gexf(net: CommNetwork, path: Path) -> None:
 
 
 def _export_edge_csv(net: CommNetwork, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight"])
-        for src, dst, w in net.sorted_edges():
-            writer.writerow([src, dst, w])
+    write_csv(path, ("src", "dst", "weight"), net.sorted_edges())
 
 
 _EXPORTERS = {"dot": _export_dot, "gexf": _export_gexf, "csv": _export_edge_csv}
@@ -258,20 +253,24 @@ def export_graph(net: CommNetwork, fmt: str, path: str | Path) -> None:
     exporter(net, Path(path))
 
 
-def network_to_dict(net: CommNetwork) -> dict:
-    """Full-fidelity JSON form used for pipeline caching (keeps isolated
-    nodes, stance attributes, and diagnostics that the edge CSV drops)."""
-    return {
-        "kind": net.kind.value,
-        "nodes": sorted(net.nodes),
-        "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
-        "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
-        "self_loop_count": net.self_loop_count,
-        "corpus_digest": net.corpus_digest,
-    }
+def write_network_json(net: CommNetwork, path: str | Path) -> None:
+    """The pipeline's cached network, full fidelity: it keeps the isolated
+    nodes, stance attributes and diagnostics that the edge CSV drops."""
+    write_json(
+        path,
+        {
+            "kind": net.kind.value,
+            "nodes": sorted(net.nodes),
+            "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
+            "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
+            "self_loop_count": net.self_loop_count,
+            "corpus_digest": net.corpus_digest,
+        },
+    )
 
 
-def network_from_dict(data: dict) -> CommNetwork:
+def read_network_json(path: str | Path) -> CommNetwork:
+    data = read_json(path)
     return CommNetwork(
         kind=NetworkKind(data["kind"]),
         nodes=set(data["nodes"]),
@@ -280,14 +279,3 @@ def network_from_dict(data: dict) -> CommNetwork:
         self_loop_count=int(data.get("self_loop_count", 0)),
         corpus_digest=data.get("corpus_digest"),
     )
-
-
-def write_network_json(net: CommNetwork, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(network_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_network_json(path: str | Path) -> CommNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))

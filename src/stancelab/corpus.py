@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
+
+from .fileio import jsonl_line, write_jsonl
+
 __all__ = [
     "CorpusFormatError",
     "TweetRecord",
@@ -161,12 +164,11 @@ class Corpus:
         return names
 
     def digest(self) -> str:
-        """Content hash over the canonical serialization, cached per instance."""
+        """SHA-256 of the bytes ``dump_corpus`` writes, cached per instance."""
         if self._digest is None:
             h = hashlib.sha256()
             for t in self.tweets:
-                h.update(json.dumps(record_to_dict(t), ensure_ascii=False, sort_keys=True).encode("utf-8"))
-                h.update(b"\n")
+                h.update(jsonl_line(record_to_dict(t)).encode("utf-8"))
             self._digest = h.hexdigest()
         return self._digest
 
@@ -285,7 +287,4 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
 
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write canonical JSONL; reloading yields an equal Corpus."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in corpus.tweets:
-            fh.write(json.dumps(record_to_dict(t), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (record_to_dict(t) for t in corpus.tweets))

@@ -8,9 +8,9 @@ data, so repeated generation is byte-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
+
+from .fileio import write_csv, write_jsonl
 
 __all__ = ["write_demo_inputs", "write_demo_config", "DEMO_TWEETS"]
 
@@ -70,38 +70,27 @@ def write_demo_inputs(dest: str | Path) -> dict[str, Path]:
         "account_types": dest / "account_types.csv",
     }
 
-    with open(paths["corpus"], "w", encoding="utf-8", newline="\n") as fh:
-        for tweet_id, user_id, name, text, tags, retweeted, reply_to, mentions, ts in DEMO_TWEETS:
-            obj: dict = {
-                "tweet_id": tweet_id,
-                "user_id": user_id,
-                "screen_name": name,
-                "text": text,
-                "hashtags": tags,
-                "timestamp": ts,
-            }
-            if retweeted:
-                obj["retweeted_user_id"] = retweeted
-            if reply_to:
-                obj["in_reply_to_user_id"] = reply_to
-            if mentions:
-                obj["mentioned_user_ids"] = mentions
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-
-    with open(paths["seeds"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hashtag", "label"])
-        writer.writerows(DEMO_SEEDS)
-
-    with open(paths["bot_scores"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "probability"])
-        writer.writerows(DEMO_BOT_SCORES)
-
-    with open(paths["account_types"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "type"])
-        writer.writerows(DEMO_ACCOUNT_TYPES)
+    tweets = []
+    for tweet_id, user_id, name, text, tags, retweeted, reply_to, mentions, ts in DEMO_TWEETS:
+        obj: dict = {
+            "tweet_id": tweet_id,
+            "user_id": user_id,
+            "screen_name": name,
+            "text": text,
+            "hashtags": tags,
+            "timestamp": ts,
+        }
+        if retweeted:
+            obj["retweeted_user_id"] = retweeted
+        if reply_to:
+            obj["in_reply_to_user_id"] = reply_to
+        if mentions:
+            obj["mentioned_user_ids"] = mentions
+        tweets.append(obj)
+    write_jsonl(paths["corpus"], tweets)
+    write_csv(paths["seeds"], ("hashtag", "label"), DEMO_SEEDS)
+    write_csv(paths["bot_scores"], ("user_id", "probability"), DEMO_BOT_SCORES)
+    write_csv(paths["account_types"], ("user_id", "type"), DEMO_ACCOUNT_TYPES)
 
     return paths
 

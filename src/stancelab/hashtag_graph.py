@@ -9,13 +9,12 @@ labeled-neighbor quorum by a slack term that grows with the pass count.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
 from .corpus import Corpus, normalize_hashtag
+from .fileio import read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "HashtagGraph",
@@ -26,8 +25,8 @@ __all__ = [
     "propagate_labels",
     "read_labels_csv",
     "write_labels_csv",
-    "graph_to_dict",
-    "graph_from_dict",
+    "read_graph_json",
+    "write_graph_json",
 ]
 
 
@@ -152,22 +151,12 @@ class SeedSpec:
     @classmethod
     def from_csv(cls, path: str | Path) -> "SeedSpec":
         """Seed file: CSV with header ``hashtag,label``, label in {-1, 1}."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header[:2]] != ["hashtag", "label"]:
-                raise ValueError(f"{path}: expected header 'hashtag,label'")
-            pairs = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{path}: line {line_no}: expected 'hashtag,label'")
-                try:
-                    label = int(row[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line_no}: bad label {row[1]!r}") from exc
-                pairs.append((row[0], label))
+        pairs = []
+        for line_no, row in read_csv(path, ("hashtag", "label")):
+            try:
+                pairs.append((row[0], int(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: bad label {row[1]!r}") from exc
         return cls.from_pairs(pairs)
 
 
@@ -269,37 +258,27 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
 
 def write_labels_csv(labels: dict[str, float], path: str | Path) -> None:
     """Label output: CSV ``hashtag,label`` with full-precision decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hashtag", "label"])
-        for tag in sorted(labels):
-            writer.writerow([tag, repr(labels[tag])])
+    write_csv(path, ("hashtag", "label"), ((tag, repr(labels[tag])) for tag in sorted(labels)))
 
 
 def read_labels_csv(path: str | Path) -> dict[str, float]:
-    labels: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["hashtag", "label"]:
-            raise ValueError(f"{path}: expected header 'hashtag,label'")
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            labels[row[0]] = float(row[1])
-    return labels
+    return {row[0]: float(row[1]) for _, row in read_csv(path, ("hashtag", "label"))}
 
 
-def graph_to_dict(graph: HashtagGraph) -> dict:
-    """JSON-friendly form used for pipeline caching."""
-    return {
-        "nodes": sorted(graph.adj),
-        "edges": [[a, b, w] for a, b, w in graph.edges()],
-        "labels": {n: graph.labels[n] for n in sorted(graph.labels)},
-    }
+def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:
+    """The pipeline's cached graph: sorted nodes, sorted edges and labels."""
+    write_json(
+        path,
+        {
+            "nodes": sorted(graph.adj),
+            "edges": [[a, b, w] for a, b, w in graph.edges()],
+            "labels": {n: graph.labels[n] for n in sorted(graph.labels)},
+        },
+    )
 
 
-def graph_from_dict(data: dict) -> HashtagGraph:
+def read_graph_json(path: str | Path) -> HashtagGraph:
+    data = read_json(path)
     graph = HashtagGraph()
     for node in data["nodes"]:
         graph.add_node(node)
@@ -308,14 +287,3 @@ def graph_from_dict(data: dict) -> HashtagGraph:
     for node, value in data.get("labels", {}).items():
         graph.set_label(node, float(value))
     return graph
-
-
-def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_graph_json(path: str | Path) -> HashtagGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))

@@ -9,13 +9,13 @@ received count, eigenvector centrality, and distinct-source count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .commnet import CommNetwork, NetworkKind, transpose
+from .fileio import write_csv
 
 __all__ = [
     "EchoResult",
@@ -159,14 +159,6 @@ class InfluencerReport:
     fraction: float
 
 
-def _top_k(scores: dict[str, float], k: int) -> set[str]:
-    if not scores:
-        return set()
-    ordered = sorted(scores.values(), reverse=True)
-    threshold = ordered[min(k, len(ordered)) - 1]
-    return {u for u, s in scores.items() if s >= threshold}
-
-
 def _rank(scores: dict[str, float]) -> dict[str, int]:
     # competition ranking: 1 + number of strictly better scores
     values = sorted(scores.values(), reverse=True)
@@ -183,12 +175,13 @@ def _received_report(net: CommNetwork, k: int) -> InfluencerReport:
         sources[x] += 1
     centrality = eigenvector_centrality(net)
 
-    super_accounts = _top_k(received, k) | _top_k(centrality, k) | _top_k(sources, k)
     rank1, rank2, rank3 = _rank(received), _rank(centrality), _rank(sources)
     measures = {
         u: (received[u], centrality[u], sources[u]) for u in net.nodes
     }
     ranks = {u: (rank1[u], rank2[u], rank3[u]) for u in net.nodes}
+    # a competition rank of at most k is a top-k score, ties at the k-th included
+    super_accounts = {u for u, r in ranks.items() if min(r) <= k}
     fraction = len(super_accounts) / len(net.nodes) if net.nodes else 0.0
     return InfluencerReport(
         k=k,
@@ -213,17 +206,17 @@ def super_friends(reciprocal: CommNetwork, k: int = 3) -> InfluencerReport:
 
 
 def write_influencer_csv(report: InfluencerReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "measure1", "measure2", "measure3", "is_super"])
-        for user_id in sorted(report.measures):
-            m1, m2, m3 = report.measures[user_id]
-            writer.writerow(
-                [
-                    user_id,
-                    int(m1) if float(m1).is_integer() else repr(m1),
-                    repr(m2),
-                    int(m3) if float(m3).is_integer() else repr(m3),
-                    str(user_id in report.super_accounts).lower(),
-                ]
+    write_csv(
+        path,
+        ("user_id", "measure1", "measure2", "measure3", "is_super"),
+        (
+            (
+                user_id,
+                int(m1) if float(m1).is_integer() else repr(m1),
+                repr(m2),
+                int(m3) if float(m3).is_integer() else repr(m3),
+                str(user_id in report.super_accounts).lower(),
             )
+            for user_id, (m1, m2, m3) in sorted(report.measures.items())
+        ),
+    )

@@ -23,7 +23,6 @@ Both paths write the same bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import shutil
 import tempfile
@@ -53,6 +52,7 @@ from .commnet import (
     write_network_json,
 )
 from .corpus import dump_corpus, load_corpus
+from .fileio import write_json
 from .hashtag_graph import (
     PropagationConfig,
     SeedSpec,
@@ -175,6 +175,10 @@ class PipelineConfig:
             raise ConfigError("min_cooccurrence, gamma, and max_passes must be >= 1")
         if self.top_k < 1 or self.lda_topics < 1 or self.top_n_words < 1:
             raise ConfigError("top_k, lda_topics, and top_n_words must be >= 1")
+        if not (self.lda_alpha is None or self.lda_alpha > 0) or not self.lda_beta > 0:
+            raise ConfigError("lda_alpha and lda_beta must be > 0")
+        if self.lda_iterations < 0 or self.rng_seed < 0:
+            raise ConfigError("lda_iterations and rng_seed must be >= 0")
         if any(not 0.0 <= t <= 1.0 for t in self.sweep_grid):
             raise ConfigError("sweep_grid values must lie in [0, 1]")
         if any(b < a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
@@ -334,12 +338,6 @@ class _Bundle:
         return path
 
 
-def _write_json(path: Path, payload: object) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _export_path(name: str, fmt: str) -> str:
     return f"{NETWORKS_DIR}/{name}.{'edges.csv' if fmt == 'csv' else fmt}"
 
@@ -434,7 +432,7 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
                 }
             )
     echo_rows.sort(key=lambda row: (row["group"], row["with_unclassified"]))
-    _write_json(bundle.root / METRICS_FILE, echo_rows)
+    write_json(bundle.root / METRICS_FILE, echo_rows)
 
     base = influence_base(mention, retweet)
     summary: dict[str, dict] = {"k": cfg.top_k, "super_spreaders": {}, "super_friends": {}}
@@ -453,7 +451,7 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
             "node_count": len(friends.measures),
             "fraction": friends.fraction,
         }
-    _write_json(bundle.root / INFLUENCER_SUMMARY_FILE, summary)
+    write_json(bundle.root / INFLUENCER_SUMMARY_FILE, summary)
 
 
 def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
@@ -495,7 +493,7 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
             exclude = hashtag_vocab if cfg.topics_exclude_hashtags_in_report else None
             write_topics_json(model, topics_path, cfg.top_n_words, exclude=exclude)
         else:
-            _write_json(topics_path, [])
+            write_json(topics_path, [])
 
 
 def stage_annotations(cfg: PipelineConfig, bundle: _Bundle) -> None:
@@ -545,7 +543,7 @@ def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
         "input_digests": {name: _file_sha256(path) for name, path in cfg.input_files().items()},
         "outputs": {rel: _file_sha256(bundle.root / rel) for rel in sorted(expected)},
     }
-    _write_json(bundle.root / MANIFEST_FILE, manifest)
+    write_json(bundle.root / MANIFEST_FILE, manifest)
 
 
 _STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {

@@ -7,12 +7,12 @@ labeled hashtags they used; the stance trichotomy is negative/positive/zero
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .corpus import Corpus
+from .fileio import read_csv, write_csv
 
 __all__ = [
     "Stance",
@@ -131,35 +131,30 @@ def classify_users(
     return StanceTable(rows=rows)
 
 
+_STANCE_COLUMNS = ("user_id", "polarity", "stance", "hashtag_count")
+
+
 def write_stance_csv(table: StanceTable, path: str | Path) -> None:
     """Output CSV: user_id,polarity,stance,hashtag_count (polarity blank when
     undefined)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "polarity", "stance", "hashtag_count"])
-        for user_id in sorted(table.rows):
-            row = table.rows[user_id]
-            polarity = "" if row.polarity is None else repr(row.polarity)
-            writer.writerow([user_id, polarity, row.stance.value, row.hashtag_count])
+    write_csv(
+        path,
+        _STANCE_COLUMNS,
+        (
+            (user_id, "" if r.polarity is None else repr(r.polarity), r.stance.value, r.hashtag_count)
+            for user_id, r in sorted(table.rows.items())
+        ),
+    )
 
 
 def read_stance_csv(path: str | Path) -> StanceTable:
     rows: dict[str, StanceRow] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["user_id", "polarity", "stance", "hashtag_count"]
-        if header is None or [c.strip().lower() for c in header[:4]] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)!r}")
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            user_id, raw_pol, raw_stance, raw_count = row[0], row[1], row[2], row[3]
-            polarity = None if raw_pol == "" else float(raw_pol)
-            rows[user_id] = StanceRow(
-                user_id=user_id,
-                polarity=polarity,
-                stance=Stance(raw_stance),
-                hashtag_count=int(raw_count),
-            )
+    for _, row in read_csv(path, _STANCE_COLUMNS):
+        user_id, raw_pol, raw_stance, raw_count = row[:4]
+        rows[user_id] = StanceRow(
+            user_id=user_id,
+            polarity=None if raw_pol == "" else float(raw_pol),
+            stance=Stance(raw_stance),
+            hashtag_count=int(raw_count),
+        )
     return StanceTable(rows=rows)

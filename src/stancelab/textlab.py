@@ -9,8 +9,6 @@ identical inputs and seeds give identical assignments.
 
 from __future__ import annotations
 
-import csv
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, TweetRecord, normalize_hashtag
+from .fileio import write_csv, write_json
 
 __all__ = [
     "TokenizedDoc",
@@ -51,19 +50,17 @@ class TokenizedDoc:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stop-word file: one word per line, '#' comments and blanks ignored."""
-    words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.casefold())
-    return frozenset(words)
+    return _stopword_set(Path(path).read_text(encoding="utf-8"))
 
 
 def default_stopwords() -> frozenset[str]:
     """The English list shipped with the package."""
-    text = resources.files("stancelab.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    return frozenset(w.strip().casefold() for w in text.splitlines() if w.strip() and not w.startswith("#"))
+    return _stopword_set(resources.files("stancelab.data").joinpath("stopwords_en.txt").read_text("utf-8"))
+
+
+def _stopword_set(text: str) -> frozenset[str]:
+    words = (line.strip() for line in text.split("\n"))
+    return frozenset(w.casefold() for w in words if w and not w.startswith("#"))
 
 
 def _word_tokens(fragment: str, stopwords: frozenset[str]) -> list[str]:
@@ -174,6 +171,8 @@ def lda_fit(
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     alpha = 50.0 / k if alpha is None else alpha
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be > 0")
 
     usable = [doc for doc in docs if doc.tokens]
     if not usable:
@@ -259,11 +258,7 @@ def top_words(
 
 
 def write_frequency_csv(frequencies: list[tuple[str, int]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "count"])
-        for term, count in frequencies:
-            writer.writerow([term, count])
+    write_csv(path, ("term", "count"), frequencies)
 
 
 def write_topics_json(
@@ -280,6 +275,4 @@ def write_topics_json(
         }
         for topic in range(model.k)
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)

@@ -11,10 +11,10 @@ from stancelab.commnet import (
     build_network,
     export_graph,
     group_subgraph,
-    network_from_dict,
-    network_to_dict,
+    read_network_json,
     reciprocal_subnetwork,
     transpose,
+    write_network_json,
 )
 from stancelab.corpus import extract_interactions
 from stancelab.stance import Stance, StanceRow, StanceTable
@@ -277,13 +277,14 @@ class TestExports:
             export_graph(self.simple_net(), "graphml", tmp_path / "x")
 
 
-def test_network_json_roundtrip():
+def test_network_json_roundtrip(tmp_path):
     net = CommNetwork(kind=NetworkKind.ALL_COMMUNICATION, corpus_digest="abc")
     net.add_edge("a", "b", 2)
     net.nodes.add("island")
     net.node_attr = {"a": "believer"}
     net.self_loop_count = 3
-    loaded = network_from_dict(network_to_dict(net))
+    write_network_json(net, tmp_path / "net.json")
+    loaded = read_network_json(tmp_path / "net.json")
     assert loaded == net
     assert loaded.self_loop_count == 3
     assert loaded.corpus_digest == "abc"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import datetime, timezone
 
@@ -173,6 +174,14 @@ def test_roundtrip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     dump_corpus(corpus, path)
     assert load_corpus(path, strict=True) == corpus
+
+
+@given(st.lists(record_strategy, max_size=12, unique_by=lambda t: t.tweet_id))
+def test_digest_is_the_hash_of_the_dumped_bytes(tmp_path_factory, records):
+    corpus = make_corpus(*records)
+    path = tmp_path_factory.mktemp("digest") / "c.jsonl"
+    dump_corpus(corpus, path)
+    assert corpus.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_indices_match_brute_force():

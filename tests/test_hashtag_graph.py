@@ -8,11 +8,11 @@ from stancelab.hashtag_graph import (
     PropagationConfig,
     SeedSpec,
     build_cooccurrence_graph,
-    graph_from_dict,
-    graph_to_dict,
     propagate_labels,
+    read_graph_json,
     read_labels_csv,
     seed_labels,
+    write_graph_json,
     write_labels_csv,
 )
 from util import make_corpus, make_tweet, random_connected_graph, two_clique_graph
@@ -93,9 +93,10 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             g.set_label("a", 1.5)
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         g = worked_example_graph()
-        assert graph_from_dict(graph_to_dict(g)) == g
+        write_graph_json(g, tmp_path / "graph.json")
+        assert read_graph_json(tmp_path / "graph.json") == g
 
 
 class TestSeeds:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stancelab.commnet import CommNetwork, NetworkKind, build_network, reciprocal_subnetwork
 from stancelab.netmetrics import (
@@ -19,6 +20,7 @@ from util import (
     oracle_density,
     oracle_eigencentrality,
     oracle_reciprocity,
+    oracle_top_k,
     random_network,
     random_spectral_network,
 )
@@ -241,6 +243,24 @@ class TestSuperSpreaders:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             super_spreaders(star_base(), k=0)
+
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 2)), max_size=20),
+        isolated=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_super_set_is_the_union_of_tied_top_k(self, edges, isolated, data):
+        net = net_from_edges(
+            [(f"n{a}", f"n{b}", w) for a, b, w in edges if a != b],
+            kind=NetworkKind.INFLUENCE_BASE,
+            extra_nodes=[f"iso{i}" for i in range(isolated)],
+        )
+        k = data.draw(st.integers(1, len(net.nodes) + 2))
+        report = super_spreaders(net, k)
+        expected = set()
+        for i in range(3):
+            expected |= oracle_top_k({u: m[i] for u, m in report.measures.items()}, k)
+        assert report.super_accounts == expected
 
 
 class TestSuperFriends:

@@ -90,6 +90,15 @@ class TestConfig:
             replace(cfg, export_formats=("png",)).validate()
         with pytest.raises(ConfigError):
             replace(cfg, reciprocal_base="friendship").validate()
+        for bad in (
+            {"lda_alpha": -1.0},
+            {"lda_alpha": 0.0},
+            {"lda_beta": 0.0},
+            {"lda_iterations": -1},
+            {"rng_seed": -1},
+        ):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                replace(cfg, **bad).validate()
 
 
 class TestRunPipeline:
@@ -160,6 +169,19 @@ class TestStages:
             run_stage("propagate", cfg)
         assert info.value.stage == "propagate"
         assert "hashtags" in str(info.value)
+
+    def test_short_row_names_the_file_and_line(self, demo_cfg):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("classify")]:
+            run_stage(stage, cfg)
+        labels = cfg.output_dir / "hashtag_labels.csv"
+        line_no = len(labels.read_text(encoding="utf-8").splitlines()) + 1
+        with open(labels, "a", encoding="utf-8") as fh:
+            fh.write("orphan\n")
+        with pytest.raises(StageError) as info:
+            run_stage("classify", cfg)
+        assert info.value.stage == "classify"
+        assert f"{labels}: line {line_no}:" in str(info.value)
 
     def test_report_names_missing_producer(self, demo_cfg):
         _, cfg = demo_cfg

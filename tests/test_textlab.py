@@ -148,6 +148,11 @@ class TestLdaFit:
         with pytest.warns(UserWarning, match="vocabulary"):
             lda_fit([doc("d1", "only")], k=3, iterations=2, seed=0)
 
+    @pytest.mark.parametrize("prior", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -0.5}])
+    def test_nonpositive_priors_rejected(self, prior):
+        with pytest.raises(ValueError, match="must be > 0"):
+            lda_fit([doc("d1", "w", "v")], k=1, iterations=1, seed=0, **prior)
+
     def test_alpha_default_is_50_over_k(self):
         with pytest.warns(UserWarning):
             model = lda_fit([doc("d1", "w", "v")], k=5, iterations=1, seed=0)

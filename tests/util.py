@@ -147,6 +147,16 @@ def oracle_eigencentrality(net: CommNetwork) -> tuple[list[str], np.ndarray]:
     return nodes, vec
 
 
+def oracle_top_k(scores: dict[str, float], k: int) -> set[str]:
+    """Accounts scoring at least the k-th largest score, ties included
+    (every account when there are fewer than k)."""
+    if not scores:
+        return set()
+    ordered = sorted(scores.values(), reverse=True)
+    threshold = ordered[min(k, len(ordered)) - 1]
+    return {u for u, s in scores.items() if s >= threshold}
+
+
 def two_clique_graph(size_a: int, size_b: int) -> tuple[HashtagGraph, str, str]:
     """Two unit-weight cliques joined by one bridge (a_zz - b_zz).
 
