@@ -105,7 +105,7 @@ def bot_threshold_sweep(
     groups: dict[str, set[str]] = {s.value: table.group(s) for s in Stance}
     if include_global:
         groups["all"] = set(corpus.users)
-    tweets_by_user = {u: len(ids) for u, ids in corpus.users.items()}
+    tweets_by_user = {u: len(tweets) for u, tweets in corpus.users.items()}
 
     rows: list[SweepRow] = []
     for threshold in grid:

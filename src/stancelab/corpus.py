@@ -99,34 +99,23 @@ def extract_interactions(record: TweetRecord) -> list[Interaction]:
 
 @dataclass
 class Corpus:
-    """Immutable-after-load tweet collection with derived per-user indices.
+    """Immutable-after-load tweet collection, grouped by author.
 
-    ``users`` maps user_id to the set of their tweet ids; ``hashtag_usage``
-    counts usage events per (user_id, hashtag), where a duplicated hashtag
-    inside one tweet counts once per occurrence.
+    ``users`` maps each user_id to that author's records in corpus order, so
+    a per-user question reads only the author's own tweets.  The digest is
+    cached per instance; ``dump_corpus`` sets it from the bytes it writes.
     """
 
     tweets: list[TweetRecord]
     skipped_count: int = field(default=0, compare=False)
     duplicate_count: int = field(default=0, compare=False)
-    users: dict[str, set[str]] = field(init=False, repr=False, compare=False)
-    hashtag_usage: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    users: dict[str, list[TweetRecord]] = field(init=False, repr=False, compare=False)
     _digest: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.rebuild_indices()
-
-    def rebuild_indices(self) -> None:
-        users: dict[str, set[str]] = {}
-        usage: dict[tuple[str, str], int] = {}
+        self.users = {}
         for t in self.tweets:
-            users.setdefault(t.user_id, set()).add(t.tweet_id)
-            for h in t.hashtags:
-                key = (t.user_id, h)
-                usage[key] = usage.get(key, 0) + 1
-        self.users = users
-        self.hashtag_usage = usage
-        self._digest = None
+            self.users.setdefault(t.user_id, []).append(t)
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -142,17 +131,16 @@ class Corpus:
         return tags
 
     def hashtag_counts(self, user_id: str, include_retweets: bool = True) -> dict[str, int]:
-        """Usage-event counts per hashtag for one user, optionally skipping retweets."""
-        if user_id not in self.users:
-            raise KeyError(user_id)
+        """Usage-event counts per hashtag for one user, optionally skipping retweets.
+
+        A hashtag repeated inside one tweet counts once per occurrence.
+        Raises KeyError for users absent from the corpus.
+        """
         counts: dict[str, int] = {}
-        for t in self.tweets:
-            if t.user_id != user_id:
-                continue
-            if not include_retweets and t.is_retweet:
-                continue
-            for h in t.hashtags:
-                counts[h] = counts.get(h, 0) + 1
+        for t in self.users[user_id]:
+            if include_retweets or not t.is_retweet:
+                for h in t.hashtags:
+                    counts[h] = counts.get(h, 0) + 1
         return counts
 
     def screen_names(self) -> dict[str, str]:
@@ -286,5 +274,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
 
 
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write canonical JSONL; reloading yields an equal Corpus."""
+    """Write canonical JSONL and cache the file's SHA-256 as the corpus digest;
+    reloading yields an equal Corpus."""
     write_jsonl(path, (record_to_dict(t) for t in corpus.tweets))
+    corpus._digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -262,7 +262,13 @@ def write_labels_csv(labels: dict[str, float], path: str | Path) -> None:
 
 
 def read_labels_csv(path: str | Path) -> dict[str, float]:
-    return {row[0]: float(row[1]) for _, row in read_csv(path, ("hashtag", "label"))}
+    labels: dict[str, float] = {}
+    for line_no, row in read_csv(path, ("hashtag", "label")):
+        try:
+            labels[row[0]] = float(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: bad label {row[1]!r}") from exc
+    return labels
 
 
 def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:

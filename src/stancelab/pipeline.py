@@ -435,22 +435,17 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
     write_json(bundle.root / METRICS_FILE, echo_rows)
 
     base = influence_base(mention, retweet)
-    summary: dict[str, dict] = {"k": cfg.top_k, "super_spreaders": {}, "super_friends": {}}
-    for stance in _INFLUENCER_GROUPS:
-        spread = super_spreaders(group_subgraph(base, table, {stance}), cfg.top_k)
-        friends = super_friends(group_subgraph(reciprocal, table, {stance}), cfg.top_k)
-        write_influencer_csv(spread, bundle.root / f"super_spreaders_{stance.value}.csv")
-        write_influencer_csv(friends, bundle.root / f"super_friends_{stance.value}.csv")
-        summary["super_spreaders"][stance.value] = {
-            "super_count": len(spread.super_accounts),
-            "node_count": len(spread.measures),
-            "fraction": spread.fraction,
-        }
-        summary["super_friends"][stance.value] = {
-            "super_count": len(friends.super_accounts),
-            "node_count": len(friends.measures),
-            "fraction": friends.fraction,
-        }
+    summary: dict[str, Any] = {"k": cfg.top_k}
+    for kind, measure, net in (("super_spreaders", super_spreaders, base), ("super_friends", super_friends, reciprocal)):
+        summary[kind] = {}
+        for stance in _INFLUENCER_GROUPS:
+            report = measure(group_subgraph(net, table, {stance}), cfg.top_k)
+            write_influencer_csv(report, bundle.root / f"{kind}_{stance.value}.csv")
+            summary[kind][stance.value] = {
+                "super_count": len(report.super_accounts),
+                "node_count": len(report.measures),
+                "fraction": report.fraction,
+            }
     write_json(bundle.root / INFLUENCER_SUMMARY_FILE, summary)
 
 
@@ -467,7 +462,7 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
         tweets = [t for t in corpus.tweets if t.user_id in members]
 
         freq_docs = tokenize(tweets, stopwords, include_hashtags=cfg.frequencies_include_hashtags)
-        frequencies = unigram_frequencies(freq_docs, cfg.top_n_words) if freq_docs else []
+        frequencies = unigram_frequencies(freq_docs, cfg.top_n_words)
         write_frequency_csv(frequencies, text_dir / f"frequencies_{stance.value}.csv")
 
         topic_docs = [

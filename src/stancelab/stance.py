@@ -149,12 +149,15 @@ def write_stance_csv(table: StanceTable, path: str | Path) -> None:
 
 def read_stance_csv(path: str | Path) -> StanceTable:
     rows: dict[str, StanceRow] = {}
-    for _, row in read_csv(path, _STANCE_COLUMNS):
+    for line_no, row in read_csv(path, _STANCE_COLUMNS):
         user_id, raw_pol, raw_stance, raw_count = row[:4]
-        rows[user_id] = StanceRow(
-            user_id=user_id,
-            polarity=None if raw_pol == "" else float(raw_pol),
-            stance=Stance(raw_stance),
-            hashtag_count=int(raw_count),
-        )
+        try:
+            rows[user_id] = StanceRow(
+                user_id=user_id,
+                polarity=None if raw_pol == "" else float(raw_pol),
+                stance=Stance(raw_stance),
+                hashtag_count=int(raw_count),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return StanceTable(rows=rows)

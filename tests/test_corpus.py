@@ -15,7 +15,7 @@ from stancelab.corpus import (
     normalize_hashtag,
     record_to_dict,
 )
-from util import make_corpus, make_tweet, random_corpus
+from util import make_corpus, make_tweet, oracle_hashtag_counts, random_corpus
 
 import numpy as np
 
@@ -178,9 +178,22 @@ def test_roundtrip_property(tmp_path_factory, records):
 
 @given(st.lists(record_strategy, max_size=12, unique_by=lambda t: t.tweet_id))
 def test_digest_is_the_hash_of_the_dumped_bytes(tmp_path_factory, records):
-    corpus = make_corpus(*records)
     path = tmp_path_factory.mktemp("digest") / "c.jsonl"
+    dump_corpus(make_corpus(*records), path)
+    never_dumped = make_corpus(*records)
+    assert never_dumped.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_after_dump_serializes_nothing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(43)
+    corpus = random_corpus(rng, n_tweets=30)
+    path = tmp_path / "c.jsonl"
     dump_corpus(corpus, path)
+
+    def refuse(obj):
+        raise AssertionError("digest serialized a record again")
+
+    monkeypatch.setattr("stancelab.corpus.jsonl_line", refuse)
     assert corpus.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -189,21 +202,29 @@ def test_indices_match_brute_force():
     for _ in range(20):
         corpus = random_corpus(rng, n_tweets=int(rng.integers(0, 60)))
         users = {}
-        usage = {}
         for t in corpus.tweets:
-            users.setdefault(t.user_id, set()).add(t.tweet_id)
-            for h in t.hashtags:
-                usage[(t.user_id, h)] = usage.get((t.user_id, h), 0) + 1
+            users.setdefault(t.user_id, []).append(t)
+        assert list(corpus.users) == list(users)
         assert corpus.users == users
-        assert corpus.hashtag_usage == usage
-        by_id = {t.tweet_id: t for t in corpus.tweets}
-        for user_id, ids in corpus.users.items():
-            assert all(by_id[i].user_id == user_id for i in ids)
 
 
 def test_usage_counts_duplicates_within_tweet():
-    corpus = make_corpus(make_tweet("t1", "u1", hashtags=["a", "a", "b"]))
-    assert corpus.hashtag_usage == {("u1", "a"): 2, ("u1", "b"): 1}
+    corpus = make_corpus(
+        make_tweet("t1", "u1", hashtags=["a", "a", "b"]),
+        make_tweet("t2", "u2", hashtags=["a"]),
+    )
+    assert corpus.hashtag_counts("u1") == {"a": 2, "b": 1}
+
+
+@given(
+    st.lists(record_strategy, max_size=20, unique_by=lambda t: t.tweet_id),
+    st.booleans(),
+)
+def test_hashtag_counts_match_full_scan(records, include_retweets):
+    corpus = make_corpus(*records)
+    for user_id in corpus.users:
+        expected = oracle_hashtag_counts(corpus, user_id, include_retweets)
+        assert corpus.hashtag_counts(user_id, include_retweets) == expected
 
 
 def test_hashtag_counts_exclude_retweets():

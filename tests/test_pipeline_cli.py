@@ -183,6 +183,32 @@ class TestStages:
         assert info.value.stage == "classify"
         assert f"{labels}: line {line_no}:" in str(info.value)
 
+    def test_bad_label_names_the_file_and_line(self, demo_cfg):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("classify")]:
+            run_stage(stage, cfg)
+        labels = cfg.output_dir / "hashtag_labels.csv"
+        line_no = len(labels.read_text(encoding="utf-8").splitlines()) + 1
+        with open(labels, "a", encoding="utf-8") as fh:
+            fh.write("foo,abc\n")
+        with pytest.raises(StageError) as info:
+            run_stage("classify", cfg)
+        assert info.value.stage == "classify"
+        assert f"{labels}: line {line_no}: bad label 'abc'" in str(info.value)
+
+    def test_bad_stance_names_the_file_and_line(self, demo_cfg):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("networks")]:
+            run_stage(stage, cfg)
+        stance = cfg.output_dir / "stance.csv"
+        line_no = len(stance.read_text(encoding="utf-8").splitlines()) + 1
+        with open(stance, "a", encoding="utf-8") as fh:
+            fh.write("zz_user,0.5,bogus,1\n")
+        with pytest.raises(StageError) as info:
+            run_stage("networks", cfg)
+        assert info.value.stage == "networks"
+        assert f"{stance}: line {line_no}: 'bogus' is not a valid Stance" in str(info.value)
+
     def test_report_names_missing_producer(self, demo_cfg):
         _, cfg = demo_cfg
         run_stage("ingest", cfg)

@@ -153,3 +153,21 @@ def test_stance_csv_roundtrip(tmp_path):
     write_stance_csv(table, path)
     loaded = read_stance_csv(path)
     assert loaded.rows == table.rows
+
+
+class _CountingList(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_classification_reads_each_author_only():
+    corpus = random_corpus(np.random.default_rng(7), n_tweets=200, n_users=20)
+    corpus.tweets = _CountingList(corpus.tweets)
+    table = classify_users(corpus, {f"tag{i}": 1.0 - i / 3 for i in range(6)})
+    assert len(table) == corpus.n_users
+    assert corpus.tweets.iterations == 0

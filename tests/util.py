@@ -69,6 +69,17 @@ def random_corpus(rng: np.random.Generator, n_tweets: int, n_users: int = 8, n_t
     return make_corpus(*tweets)
 
 
+def oracle_hashtag_counts(corpus: Corpus, user_id: str, include_retweets: bool = True) -> dict[str, int]:
+    """Full-corpus scan: every hashtag occurrence in the user's tweets,
+    retweets optionally skipped."""
+    counts: dict[str, int] = {}
+    for t in corpus.tweets:
+        if t.user_id == user_id and (include_retweets or t.retweeted_user_id is None):
+            for h in t.hashtags:
+                counts[h] = counts.get(h, 0) + 1
+    return counts
+
+
 def random_network(rng: np.random.Generator, max_nodes: int = 20, edge_prob: float | None = None) -> CommNetwork:
     n = int(rng.integers(2, max_nodes + 1))
     p = float(rng.uniform(0.05, 0.5)) if edge_prob is None else edge_prob
