@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus, InteractionKind, extract_interactions
-from .fileio import read_json, write_csv, write_json
+from .fileio import read_json, write_csv, write_json, write_text
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -208,7 +208,7 @@ def _export_dot(net: CommNetwork, path: Path) -> None:
     for src, dst, w in net.sorted_edges():
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={w}];")
     lines.append("}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"
@@ -234,7 +234,7 @@ def _export_gexf(net: CommNetwork, path: Path) -> None:
         )
     ET.indent(root)
     payload = ET.tostring(root, encoding="unicode", xml_declaration=True)
-    path.write_text(payload + "\n", encoding="utf-8")
+    write_text(path, payload + "\n")
 
 
 def _export_edge_csv(net: CommNetwork, path: Path) -> None:

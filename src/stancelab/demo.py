@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .fileio import write_csv, write_jsonl
+from .fileio import write_csv, write_jsonl, write_text
 
 __all__ = ["write_demo_inputs", "write_demo_config", "DEMO_TWEETS"]
 
@@ -121,5 +121,5 @@ def write_demo_config(dest: str | Path, output_dir: str | Path | None = None) ->
         ]
     )
     config_path = dest / "config.cfg"
-    config_path.write_text(config + "\n", encoding="utf-8")
+    write_text(config_path, config + "\n")
     return config_path

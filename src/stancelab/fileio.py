@@ -1,7 +1,7 @@
 """The file formats stancelab reads and writes, each stated once.
 
-Every JSON, JSONL and CSV file of a report bundle, and of the demo inputs,
-goes through this module, so one set of rules fixes their bytes:
+Every file of a report bundle, and of the demo inputs, goes through this
+module, so one set of rules fixes their bytes:
 
 * JSON: UTF-8, two-space indent, sorted keys, non-ASCII characters escaped,
   LF line ends and a final newline.
@@ -12,6 +12,11 @@ goes through this module, so one set of rules fixes their bytes:
   compared trimmed and lower-cased, extra trailing columns are allowed; a
   missing required header names the file, and a row shorter than the header
   names the file and the line.
+* Text (the DOT and GEXF exports, the demo config): UTF-8, written as given.
+
+Every writer writes a temporary sibling file and moves it into place with
+``os.replace``, so an interrupted or failed write leaves the old file as it
+was (or no file) and never a truncated one.
 
 ``load_corpus`` parses its JSONL line by line with ``json.loads`` itself,
 because it skips or reports each bad line on its own.
@@ -22,14 +27,36 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
-__all__ = ["write_json", "read_json", "jsonl_line", "write_jsonl", "write_csv", "read_csv"]
+__all__ = ["write_json", "read_json", "jsonl_line", "write_jsonl", "write_csv", "read_csv", "write_text"]
+
+
+@contextmanager
+def _replacing(path: str | Path, newline: str) -> Iterator[IO[str]]:
+    """Open a temporary sibling of ``path`` for writing and move it onto
+    ``path`` once the block succeeds; on any error, delete it instead."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _replacing(path, "\n") as fh:
+        fh.write(text)
 
 
 def write_json(path: str | Path, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -45,13 +72,13 @@ def jsonl_line(obj: Any) -> str:
 
 
 def write_jsonl(path: str | Path, objects: Iterable[Any]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "\n") as fh:
         for obj in objects:
             fh.write(jsonl_line(obj))
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -51,18 +51,16 @@ def reciprocity(net: CommNetwork) -> float:
     return reciprocated / len(net.edges)
 
 
-def density(net: CommNetwork, weighted: bool = False) -> float:
+def density(net: CommNetwork) -> float:
     """Distinct directed edges over |V| * (|V| - 1); 0 below two nodes.
 
-    The default ignores weights (plain graph density, which is what the
-    echo-chamberness formula consumes); ``weighted=True`` divides the total
-    edge weight by the same pair count instead.  Self-loops are never stored.
+    Edge weights are ignored: this is the plain graph density that the
+    echo-chamberness formula consumes.  Self-loops are never stored.
     """
     n = len(net.nodes)
     if n < 2:
         return 0.0
-    mass = net.total_weight() if weighted else len(net.edges)
-    return mass / (n * (n - 1))
+    return len(net.edges) / (n * (n - 1))
 
 
 def echo_chamberness(net: CommNetwork) -> EchoResult:

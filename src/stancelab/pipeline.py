@@ -1,23 +1,21 @@
-"""End-to-end batch pipeline over one table of cached intermediates.
+"""End-to-end batch pipeline, declared as one table of stages.
 
-The stages form one chain: ingest, hashtags, propagate, classify, networks,
-metrics, text, annotations, report.  ``_INTERMEDIATES`` states once, for each
-value a stage hands on to later stages (the corpus, the hashtag graph, the
-labels, the stance table and the five networks), its bundle path, the stage
-that produces it, the last stage that reads it, and how it is read and
-written.  Stages take their inputs and hand on their outputs through a
-``_Bundle``, whose ``put`` always writes the file:
+``_STAGE_TABLE`` has one ``_Stage`` entry per stage, in run order: the stage
+function, the intermediates it reads, the intermediates it ``put``s, and its
+other bundle files for a config.  ``_INTERMEDIATES`` gives each intermediate
+its bundle path, reader and writer.  The stage order, the producer a missing
+intermediate names, how long ``run_pipeline`` keeps each value and the
+bundle's file list are all read off the table.
 
-* ``run_pipeline`` also keeps each intermediate in memory until its last
-  reader has run, so later stages take it from there and the run reads back
-  no file it wrote.  It builds the bundle in a temporary sibling directory
-  and, once every stage has succeeded, renames it into place as
-  ``output_dir``.
-* ``run_stage`` runs one stage against ``output_dir`` and keeps nothing:
-  ``get`` reads the file, and a missing file fails with the name of the
-  stage that writes it.
+Stages pass intermediates through a ``_Bundle``, whose ``put`` always writes
+the file.  ``run_pipeline`` keeps each value in memory until its last reader
+has run (a value no stage reads, not at all), builds the bundle in a
+temporary sibling directory and renames it into place once every stage has
+succeeded.  ``run_stage`` runs one stage against ``output_dir`` and keeps
+nothing, so ``get`` reads the file.  Both paths write the same bytes.
 
-Both paths write the same bytes.
+To add a stage, write its function and add its entry at its place in the
+table, with an ``_INTERMEDIATES`` entry for each new value it puts.
 """
 
 from __future__ import annotations
@@ -265,8 +263,6 @@ def _parse(hint: Any, text: str, base_dir: Path) -> Any:
 @dataclass(frozen=True)
 class _Intermediate:
     path: str
-    producer: str
-    last_reader: str
     read: Callable[[Path], Any]
     write: Callable[[Any, Path], None]
 
@@ -274,25 +270,13 @@ class _Intermediate:
 # The readers and writers look their functions up in this module's globals
 # when they run, so a function patched onto the module is the one called.
 _INTERMEDIATES: dict[str, _Intermediate] = {
-    "corpus": _Intermediate(
-        CORPUS_FILE, "ingest", "annotations", lambda p: load_corpus(p), lambda v, p: dump_corpus(v, p)
-    ),
-    "hashtag_graph": _Intermediate(
-        GRAPH_FILE, "hashtags", "propagate", lambda p: read_graph_json(p), lambda v, p: write_graph_json(v, p)
-    ),
-    "labels": _Intermediate(
-        LABELS_FILE, "propagate", "classify", lambda p: read_labels_csv(p), lambda v, p: write_labels_csv(v, p)
-    ),
-    "stance": _Intermediate(
-        STANCE_FILE, "classify", "annotations", lambda p: read_stance_csv(p), lambda v, p: write_stance_csv(v, p)
-    ),
+    "corpus": _Intermediate(CORPUS_FILE, lambda p: load_corpus(p), lambda v, p: dump_corpus(v, p)),
+    "hashtag_graph": _Intermediate(GRAPH_FILE, lambda p: read_graph_json(p), lambda v, p: write_graph_json(v, p)),
+    "labels": _Intermediate(LABELS_FILE, lambda p: read_labels_csv(p), lambda v, p: write_labels_csv(v, p)),
+    "stance": _Intermediate(STANCE_FILE, lambda p: read_stance_csv(p), lambda v, p: write_stance_csv(v, p)),
     **{
         name: _Intermediate(
-            f"{NETWORKS_DIR}/{name}.json",
-            "networks",
-            "metrics",
-            lambda p: read_network_json(p),
-            lambda v, p: write_network_json(v, p),
+            f"{NETWORKS_DIR}/{name}.json", lambda p: read_network_json(p), lambda v, p: write_network_json(v, p)
         )
         for name in _NETWORK_NAMES
     },
@@ -302,34 +286,38 @@ _INTERMEDIATES: dict[str, _Intermediate] = {
 class _Bundle:
     """One build's bundle directory, through which stages pass intermediates.
 
-    ``put`` writes an intermediate's file.  With ``keep`` it also holds the
-    value until ``forget`` is called after its last reader, and ``get``
-    returns it from memory; without, ``get`` reads the file.  ``stage``
-    names the running stage for error messages.
+    With ``keep``, ``put`` also holds a value that some stage reads, ``get``
+    returns it from memory, and ``forget`` drops it after its last reader.
+    ``stage`` names the running stage for messages.
     """
 
     def __init__(self, root: Path, keep: bool) -> None:
         self.root = root
+        self.keep = keep
         self.stage = ""
-        self._kept: dict[str, Any] | None = {} if keep else None
+        self._kept: dict[str, Any] = {}
+
+    def file(self, rel: str) -> Path:
+        """The path of bundle file ``rel``, with its directory made."""
+        path = self.root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
     def put(self, name: str, value: Any) -> None:
         item = _INTERMEDIATES[name]
-        item.write(value, self.root / item.path)
-        if self._kept is not None:
+        item.write(value, self.file(item.path))
+        if self.keep and name in _LAST_READER:
             self._kept[name] = value
 
     def forget(self, stage: str) -> None:
         """Drop the kept values that no stage after ``stage`` reads."""
-        if self._kept is not None:
-            for name in [n for n in self._kept if _INTERMEDIATES[n].last_reader == stage]:
-                del self._kept[name]
+        self._kept = {name: value for name, value in self._kept.items() if _LAST_READER[name] != stage}
 
     def get(self, name: str) -> Any:
-        if self._kept is not None:
+        if self.keep:
             return self._kept[name]
         item = _INTERMEDIATES[name]
-        return item.read(self.require(item.path, item.producer))
+        return item.read(self.require(item.path, _PRODUCER[name]))
 
     def require(self, rel: str, producer: str) -> Path:
         path = self.root / rel
@@ -342,11 +330,17 @@ def _export_path(name: str, fmt: str) -> str:
     return f"{NETWORKS_DIR}/{name}.{'edges.csv' if fmt == 'csv' else fmt}"
 
 
+def _by_group(*patterns: str) -> list[str]:
+    """Each pattern's ``{}`` filled with each stance group; a pattern without one names one file."""
+    return list(dict.fromkeys(pattern.format(stance.value) for pattern in patterns for stance in _INFLUENCER_GROUPS))
+
+
 def stage_ingest(cfg: PipelineConfig, bundle: _Bundle) -> None:
     corpus = load_corpus(cfg.corpus_path, strict=cfg.strict_ingest)
     if corpus.skipped_count or corpus.duplicate_count:
         logger.warning(
-            "ingest: skipped %d malformed line(s), dropped %d duplicate id(s)",
+            "%s: skipped %d malformed line(s), dropped %d duplicate id(s)",
+            bundle.stage,
             corpus.skipped_count,
             corpus.duplicate_count,
         )
@@ -362,7 +356,7 @@ def stage_propagate(cfg: PipelineConfig, bundle: _Bundle) -> None:
     seeds = SeedSpec.from_csv(cfg.seed_file)
     seeded, missing = seed_labels(graph, seeds)
     if missing:
-        logger.warning("propagate: seed hashtags absent from the graph: %s", ", ".join(missing))
+        logger.warning("%s: seed hashtags absent from the graph: %s", bundle.stage, ", ".join(missing))
     labels = propagate_labels(
         seeded,
         PropagationConfig(
@@ -375,9 +369,8 @@ def stage_propagate(cfg: PipelineConfig, bundle: _Bundle) -> None:
 
 
 def stage_classify(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    corpus = bundle.get("corpus")
     table = classify_users(
-        corpus,
+        bundle.get("corpus"),
         bundle.get("labels"),
         count_weighting=not cfg.presence_weighting,
         include_retweet_hashtags=cfg.include_retweet_hashtags,
@@ -392,27 +385,19 @@ def stage_networks(cfg: PipelineConfig, bundle: _Bundle) -> None:
     retweet = build_network(corpus, NetworkKind.RETWEET)
     mention = build_network(corpus, NetworkKind.MENTION, include_retweet_mentions=cfg.include_retweet_mentions)
     reply = build_network(corpus, NetworkKind.REPLY)
-    combined = all_communication(retweet, mention, reply, corpus)
-    bases = {
-        "retweet": retweet,
-        "mention": mention,
-        "reply": reply,
-        "all_communication": combined,
-    }
-    nets = dict(bases, reciprocal=reciprocal_subnetwork(bases[cfg.reciprocal_base]))
-    (bundle.root / NETWORKS_DIR).mkdir(parents=True, exist_ok=True)
+    nets = {"retweet": retweet, "mention": mention, "reply": reply}
+    nets["all_communication"] = all_communication(retweet, mention, reply, corpus)
+    nets["reciprocal"] = reciprocal_subnetwork(nets[cfg.reciprocal_base])
     for name in _NETWORK_NAMES:
         net = attach_stances(nets[name], table)
         bundle.put(name, net)
         for fmt in cfg.export_formats:
-            export_graph(net, fmt, bundle.root / _export_path(name, fmt))
+            export_graph(net, fmt, bundle.file(_export_path(name, fmt)))
 
 
 def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
     table = bundle.get("stance")
     combined = bundle.get("all_communication")
-    mention = bundle.get("mention")
-    retweet = bundle.get("retweet")
     reciprocal = bundle.get("reciprocal")
 
     echo_rows = []
@@ -432,38 +417,36 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
                 }
             )
     echo_rows.sort(key=lambda row: (row["group"], row["with_unclassified"]))
-    write_json(bundle.root / METRICS_FILE, echo_rows)
+    write_json(bundle.file(METRICS_FILE), echo_rows)
 
-    base = influence_base(mention, retweet)
+    base = influence_base(bundle.get("mention"), bundle.get("retweet"))
     summary: dict[str, Any] = {"k": cfg.top_k}
     for kind, measure, net in (("super_spreaders", super_spreaders, base), ("super_friends", super_friends, reciprocal)):
         summary[kind] = {}
         for stance in _INFLUENCER_GROUPS:
             report = measure(group_subgraph(net, table, {stance}), cfg.top_k)
-            write_influencer_csv(report, bundle.root / f"{kind}_{stance.value}.csv")
+            write_influencer_csv(report, bundle.file(f"{kind}_{stance.value}.csv"))
             summary[kind][stance.value] = {
                 "super_count": len(report.super_accounts),
                 "node_count": len(report.measures),
                 "fraction": report.fraction,
             }
-    write_json(bundle.root / INFLUENCER_SUMMARY_FILE, summary)
+    write_json(bundle.file(INFLUENCER_SUMMARY_FILE), summary)
 
 
 def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
     corpus = bundle.get("corpus")
     table = bundle.get("stance")
     stopwords = load_stopwords(cfg.stopword_file) if cfg.stopword_file else default_stopwords()
-    hashtag_vocab = corpus.all_hashtags()
+    exclude = corpus.all_hashtags() if cfg.topics_exclude_hashtags_in_report else None
 
-    text_dir = bundle.root / TEXT_DIR
-    text_dir.mkdir(parents=True, exist_ok=True)
     for stance in _INFLUENCER_GROUPS:
         members = table.group(stance)
         tweets = [t for t in corpus.tweets if t.user_id in members]
 
         freq_docs = tokenize(tweets, stopwords, include_hashtags=cfg.frequencies_include_hashtags)
         frequencies = unigram_frequencies(freq_docs, cfg.top_n_words)
-        write_frequency_csv(frequencies, text_dir / f"frequencies_{stance.value}.csv")
+        write_frequency_csv(frequencies, bundle.file(f"{TEXT_DIR}/frequencies_{stance.value}.csv"))
 
         topic_docs = [
             doc
@@ -475,7 +458,7 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
             )
             if doc.tokens
         ]
-        topics_path = text_dir / f"topics_{stance.value}.json"
+        topics_path = bundle.file(f"{TEXT_DIR}/topics_{stance.value}.json")
         if topic_docs:
             model = lda_fit(
                 topic_docs,
@@ -485,7 +468,6 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
                 iterations=cfg.lda_iterations,
                 seed=cfg.rng_seed,
             )
-            exclude = hashtag_vocab if cfg.topics_exclude_hashtags_in_report else None
             write_topics_json(model, topics_path, cfg.top_n_words, exclude=exclude)
         else:
             write_json(topics_path, [])
@@ -497,22 +479,8 @@ def stage_annotations(cfg: PipelineConfig, bundle: _Bundle) -> None:
     scores = load_bot_scores(cfg.bot_scores_path)
     types = load_account_types(cfg.account_types_path)
     rows = bot_threshold_sweep(corpus, table, scores, cfg.sweep_grid, include_global=cfg.sweep_include_global)
-    write_sweep_csv(rows, bundle.root / SWEEP_FILE)
-    write_concentration_json(news_source_concentration(corpus, table, types), bundle.root / CONCENTRATION_FILE)
-
-
-def bundle_files(cfg: PipelineConfig) -> dict[str, str]:
-    """Every bundle file but the manifest (relative path -> producing stage)."""
-    out = {item.path: item.producer for item in _INTERMEDIATES.values()}
-    for name in _NETWORK_NAMES:
-        for fmt in cfg.export_formats:
-            out[_export_path(name, fmt)] = "networks"
-    out[METRICS_FILE] = out[INFLUENCER_SUMMARY_FILE] = "metrics"
-    for stance in _INFLUENCER_GROUPS:
-        out[f"super_spreaders_{stance.value}.csv"] = out[f"super_friends_{stance.value}.csv"] = "metrics"
-        out[f"{TEXT_DIR}/frequencies_{stance.value}.csv"] = out[f"{TEXT_DIR}/topics_{stance.value}.json"] = "text"
-    out[SWEEP_FILE] = out[CONCENTRATION_FILE] = "annotations"
-    return out
+    write_sweep_csv(rows, bundle.file(SWEEP_FILE))
+    write_concentration_json(news_source_concentration(corpus, table, types), bundle.file(CONCENTRATION_FILE))
 
 
 def _file_sha256(path: Path) -> str:
@@ -526,8 +494,6 @@ def _file_sha256(path: Path) -> str:
 def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
     """Verify the bundle and write the manifest (the only timestamped file)."""
     expected = bundle_files(cfg)
-    for rel, producer in sorted(expected.items()):
-        bundle.require(rel, producer)
     manifest = {
         "artifact": "stancelab",
         "version": __version__,
@@ -536,24 +502,61 @@ def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
         "config_text": cfg.to_text(),
         "rng_seed": cfg.rng_seed,
         "input_digests": {name: _file_sha256(path) for name, path in cfg.input_files().items()},
-        "outputs": {rel: _file_sha256(bundle.root / rel) for rel in sorted(expected)},
+        "outputs": {rel: _file_sha256(bundle.require(rel, expected[rel])) for rel in sorted(expected)},
     }
-    write_json(bundle.root / MANIFEST_FILE, manifest)
+    write_json(bundle.file(MANIFEST_FILE), manifest)
 
 
-_STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {
-    "ingest": stage_ingest,
-    "hashtags": stage_hashtags,
-    "propagate": stage_propagate,
-    "classify": stage_classify,
-    "networks": stage_networks,
-    "metrics": stage_metrics,
-    "text": stage_text,
-    "annotations": stage_annotations,
-    "report": stage_report,
+@dataclass(frozen=True)
+class _Stage:
+    run: Callable[[PipelineConfig, _Bundle], None]
+    reads: tuple[str, ...] = ()
+    puts: tuple[str, ...] = ()
+    files: Callable[[PipelineConfig], list[str]] = lambda cfg: []  # other bundle files; the manifest is not one
+
+
+# The stages in run order.  A stage gets only what it reads, puts only what it puts.
+_STAGE_TABLE: dict[str, _Stage] = {
+    "ingest": _Stage(stage_ingest, puts=("corpus",)),
+    "hashtags": _Stage(stage_hashtags, ("corpus",), ("hashtag_graph",)),
+    "propagate": _Stage(stage_propagate, ("hashtag_graph",), ("labels",)),
+    "classify": _Stage(stage_classify, ("corpus", "labels"), ("stance",)),
+    "networks": _Stage(
+        stage_networks,
+        ("corpus", "stance"),
+        _NETWORK_NAMES,
+        lambda cfg: [_export_path(name, fmt) for name in _NETWORK_NAMES for fmt in cfg.export_formats],
+    ),
+    "metrics": _Stage(
+        stage_metrics,
+        ("stance", "all_communication", "mention", "retweet", "reciprocal"),
+        (),
+        lambda cfg: _by_group(METRICS_FILE, INFLUENCER_SUMMARY_FILE, "super_spreaders_{}.csv", "super_friends_{}.csv"),
+    ),
+    "text": _Stage(
+        stage_text,
+        ("corpus", "stance"),
+        files=lambda cfg: _by_group(TEXT_DIR + "/frequencies_{}.csv", TEXT_DIR + "/topics_{}.json"),
+    ),
+    "annotations": _Stage(stage_annotations, ("corpus", "stance"), files=lambda cfg: [SWEEP_FILE, CONCENTRATION_FILE]),
+    "report": _Stage(stage_report),
 }
 
-STAGE_ORDER = tuple(_STAGES)
+# Read off the table.  ``_call`` looks each stage function up in ``_STAGES``
+# when it runs, so a function patched in there is the one called.
+_STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {name: s.run for name, s in _STAGE_TABLE.items()}
+STAGE_ORDER = tuple(_STAGE_TABLE)
+_PRODUCER = {item: name for name, s in _STAGE_TABLE.items() for item in s.puts}
+_LAST_READER = {item: name for name, s in _STAGE_TABLE.items() for item in s.reads}  # a later reader overwrites
+
+
+def bundle_files(cfg: PipelineConfig) -> dict[str, str]:
+    """Every bundle file but the manifest (relative path -> producing stage)."""
+    return {
+        rel: name
+        for name, s in _STAGE_TABLE.items()
+        for rel in [*(_INTERMEDIATES[item].path for item in s.puts), *s.files(cfg)]
+    }
 
 
 def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
@@ -569,9 +572,7 @@ def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
 def run_stage(name: str, cfg: PipelineConfig) -> None:
     """Run one stage against ``cfg.output_dir`` (created if needed)."""
     cfg.validate()
-    root = Path(cfg.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    _call(name, cfg, _Bundle(root, keep=False))
+    _call(name, cfg, _Bundle(Path(cfg.output_dir), keep=False))
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -595,7 +596,6 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
     try:
         built, aside = work / "new", work / "old"
-        built.mkdir()
         bundle = _Bundle(built, keep=True)
         for name in _STAGES:
             _call(name, cfg, bundle)

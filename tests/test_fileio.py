@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
-from stancelab.fileio import jsonl_line, read_csv, read_json, write_csv, write_json, write_jsonl
+from stancelab import fileio
+from stancelab.fileio import jsonl_line, read_csv, read_json, write_csv, write_json, write_jsonl, write_text
 
 
 def test_json_dialect(tmp_path):
@@ -55,3 +58,48 @@ def test_short_row_names_the_file_and_line(tmp_path):
     path.write_text("name,value\nx,1\n\ny\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"x\.csv: line 4: expected 'name,value'"):
         list(read_csv(path, ("name", "value")))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_csv_write_leaves_the_old_file(tmp_path, error):
+    path = tmp_path / "x.csv"
+    write_csv(path, ("n",), [(1,), (2,)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (3,)
+        raise error("disk full")
+
+    with pytest.raises(error):
+        write_csv(path, ("n",), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: write_json(p, {"a": 1}),
+        lambda p: write_jsonl(p, [{"a": 1}]),
+        lambda p: write_csv(p, ("a",), [(1,)]),
+        lambda p: write_text(p, "a\n"),
+    ],
+)
+def test_failed_replace_leaves_the_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "x"
+    path.write_bytes(b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(fileio.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write(path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+
+
+def test_failed_first_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", {"a": 1, "b": object()})  # fails after "a" is written
+    assert list(tmp_path.iterdir()) == []

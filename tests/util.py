@@ -204,3 +204,53 @@ def random_connected_graph(rng: np.random.Generator, max_nodes: int = 50) -> Has
         if i != j and graph.weight(names[i], names[j]) == 0:
             graph.add_edge(names[i], names[j], int(rng.integers(1, 6)))
     return graph
+
+
+# The stage facts as they were once written out by hand in stancelab.pipeline,
+# before the stage table derived them: the bundle's file list and each cached
+# intermediate's producing stage and last reading stage.
+_ORACLE_NETWORKS = ("retweet", "mention", "reply", "all_communication", "reciprocal")
+
+
+def oracle_bundle_files(export_formats) -> dict[str, str]:
+    """Every bundle file but the manifest, mapped to the stage that writes it."""
+    out = {
+        "corpus.jsonl": "ingest",
+        "hashtag_graph.json": "hashtags",
+        "hashtag_labels.csv": "propagate",
+        "stance.csv": "classify",
+        "metrics.json": "metrics",
+        "influencer_summary.json": "metrics",
+        "bot_sweep.csv": "annotations",
+        "concentration.json": "annotations",
+    }
+    for name in _ORACLE_NETWORKS:
+        out[f"networks/{name}.json"] = "networks"
+        for fmt in export_formats:
+            out[f"networks/{name}.{'edges.csv' if fmt == 'csv' else fmt}"] = "networks"
+    for group in ("believer", "disbeliever"):
+        out[f"super_spreaders_{group}.csv"] = out[f"super_friends_{group}.csv"] = "metrics"
+        out[f"text/frequencies_{group}.csv"] = out[f"text/topics_{group}.json"] = "text"
+    return out
+
+
+def oracle_producers() -> dict[str, str]:
+    return {
+        "corpus": "ingest",
+        "hashtag_graph": "hashtags",
+        "labels": "propagate",
+        "stance": "classify",
+        **{name: "networks" for name in _ORACLE_NETWORKS},
+    }
+
+
+def oracle_last_readers() -> dict[str, str]:
+    """As stated by hand, which gave the reply network, read by no stage, the
+    networks' common last reader."""
+    return {
+        "corpus": "annotations",
+        "hashtag_graph": "propagate",
+        "labels": "classify",
+        "stance": "annotations",
+        **{name: "metrics" for name in _ORACLE_NETWORKS},
+    }
