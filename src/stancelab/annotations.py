@@ -9,7 +9,7 @@ news-typed accounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -129,14 +129,7 @@ def bot_threshold_sweep(
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    write_csv(
-        path,
-        ("threshold", "group", "account_fraction", "tweet_fraction", "unscored_count"),
-        (
-            (repr(row.threshold), row.group, repr(row.account_fraction), repr(row.tweet_fraction), row.unscored_count)
-            for row in rows
-        ),
-    )
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))
 
 
 @dataclass(frozen=True)
@@ -190,18 +183,5 @@ def news_source_concentration(
 
 
 def write_concentration_json(reports: list[NewsGroupReport], path: str | Path) -> None:
-    payload = [
-        {
-            "group": r.group,
-            "accounts": [
-                {"user_id": u, "screen_name": name, "tweet_count": c} for u, name, c in r.accounts
-            ],
-            "group_tweet_count": r.group_tweet_count,
-            "news_tweet_count": r.news_tweet_count,
-            "news_tweet_share": r.news_tweet_share,
-            "top_share": r.top_share,
-            "herfindahl": r.herfindahl,
-        }
-        for r in reports
-    ]
-    write_json(path, payload)
+    keys = ("user_id", "screen_name", "tweet_count")
+    write_json(path, [{**asdict(r), "accounts": [dict(zip(keys, a)) for a in r.accounts]} for r in reports])

@@ -5,12 +5,19 @@ union ("all communication", whose node set also includes every tweet author),
 the reciprocal subnetwork, and stance-filtered subgraphs.  Edge direction is
 actor -> target; self-interactions are excluded from edges but tallied in
 ``self_loop_count``.
+
+The derivations (``reciprocal_subnetwork``, ``group_subgraph``,
+``attach_stances``, ``transpose``) copy: the result shares no set or dict
+with its input.  Each keeps the input's ``corpus_digest`` and ``kind``, except
+that the reciprocal subnetwork's kind is ``RECIPROCAL``.  ``attach_stances``
+keeps the input's ``self_loop_count``; the other three set it to 0.  A union
+sums its parts' counts.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -23,6 +30,7 @@ __all__ = [
     "NetworkKind",
     "CommNetwork",
     "build_network",
+    "weighted_union",
     "all_communication",
     "reciprocal_subnetwork",
     "group_subgraph",
@@ -67,14 +75,6 @@ class CommNetwork:
     def weight(self, src: str, dst: str) -> int:
         return self.edges.get((src, dst), 0)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def total_weight(self) -> int:
         return sum(self.edges.values())
 
@@ -113,6 +113,28 @@ def build_network(
     return net
 
 
+def weighted_union(kind: NetworkKind, parts: dict[NetworkKind, CommNetwork], digest: str | None = None) -> CommNetwork:
+    """Union of the parts' nodes with their edge weights and self-loop counts summed.
+
+    Each part must have the kind it is keyed by and come from the corpus with
+    ``digest`` (by default, the first one a part carries); a part without one
+    matches any.
+    """
+    if digest is None:
+        digest = next((net.corpus_digest for net in parts.values() if net.corpus_digest is not None), None)
+    union = CommNetwork(kind=kind, corpus_digest=digest)
+    for expected, net in parts.items():
+        if net.kind is not expected:
+            raise ValueError(f"expected a {expected.value} network, got {net.kind.value}")
+        if net.corpus_digest not in (None, digest):
+            raise ValueError(f"{expected.value} network is from a different corpus; different corpora do not sum")
+        union.nodes.update(net.nodes)
+        for edge, w in net.edges.items():
+            union.edges[edge] = union.edges.get(edge, 0) + w
+        union.self_loop_count += net.self_loop_count
+    return union
+
+
 def all_communication(
     retweet: CommNetwork,
     mention: CommNetwork,
@@ -125,18 +147,7 @@ def all_communication(
     even when isolated.  All inputs must come from the given corpus.
     """
     parts = {NetworkKind.RETWEET: retweet, NetworkKind.MENTION: mention, NetworkKind.REPLY: reply}
-    digest = corpus.digest()
-    for kind, net in parts.items():
-        if net.kind is not kind:
-            raise ValueError(f"expected a {kind.value} network, got {net.kind.value}")
-        if net.corpus_digest is not None and net.corpus_digest != digest:
-            raise ValueError(f"{kind.value} network was built from a different corpus")
-    combined = CommNetwork(kind=NetworkKind.ALL_COMMUNICATION, corpus_digest=digest)
-    for net in parts.values():
-        combined.nodes.update(net.nodes)
-        for (src, dst), w in net.edges.items():
-            combined.edges[(src, dst)] = combined.edges.get((src, dst), 0) + w
-        combined.self_loop_count += net.self_loop_count
+    combined = weighted_union(NetworkKind.ALL_COMMUNICATION, parts, corpus.digest())
     combined.nodes.update(corpus.users)
     return combined
 
@@ -147,12 +158,9 @@ def reciprocal_subnetwork(net: CommNetwork) -> CommNetwork:
     The node set is unchanged, so the operation is idempotent.
     """
     edges = {(a, b): w for (a, b), w in net.edges.items() if (b, a) in net.edges}
-    return CommNetwork(
-        kind=NetworkKind.RECIPROCAL,
-        nodes=set(net.nodes),
-        edges=edges,
-        node_attr=dict(net.node_attr),
-        corpus_digest=net.corpus_digest,
+    return replace(
+        net, kind=NetworkKind.RECIPROCAL, self_loop_count=0,
+        nodes=set(net.nodes), edges=edges, node_attr=dict(net.node_attr),
     )
 
 
@@ -164,35 +172,20 @@ def group_subgraph(net: CommNetwork, table: StanceTable, groups: Iterable[Stance
     """
     wanted = set(groups)
     keep = {n for n in net.nodes if table.stance_of(n) in wanted}
-    return CommNetwork(
-        kind=net.kind,
-        nodes=keep,
-        edges={(a, b): w for (a, b), w in net.edges.items() if a in keep and b in keep},
-        node_attr={n: v for n, v in net.node_attr.items() if n in keep},
-        corpus_digest=net.corpus_digest,
-    )
+    edges = {(a, b): w for (a, b), w in net.edges.items() if a in keep and b in keep}
+    node_attr = {n: v for n, v in net.node_attr.items() if n in keep}
+    return replace(net, nodes=keep, edges=edges, node_attr=node_attr, self_loop_count=0)
 
 
 def attach_stances(net: CommNetwork, table: StanceTable) -> CommNetwork:
     """Copy of the network with a stance attribute on every node."""
-    return CommNetwork(
-        kind=net.kind,
-        nodes=set(net.nodes),
-        edges=dict(net.edges),
-        node_attr={n: table.stance_of(n).value for n in net.nodes},
-        self_loop_count=net.self_loop_count,
-        corpus_digest=net.corpus_digest,
-    )
+    stances = {n: table.stance_of(n).value for n in net.nodes}
+    return replace(net, nodes=set(net.nodes), edges=dict(net.edges), node_attr=stances)
 
 
 def transpose(net: CommNetwork) -> CommNetwork:
-    return CommNetwork(
-        kind=net.kind,
-        nodes=set(net.nodes),
-        edges={(b, a): w for (a, b), w in net.edges.items()},
-        node_attr=dict(net.node_attr),
-        corpus_digest=net.corpus_digest,
-    )
+    edges = {(b, a): w for (a, b), w in net.edges.items()}
+    return replace(net, nodes=set(net.nodes), edges=edges, node_attr=dict(net.node_attr), self_loop_count=0)
 
 
 def _dot_quote(name: str) -> str:

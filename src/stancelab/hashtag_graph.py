@@ -47,10 +47,6 @@ class HashtagGraph:
         return set(self.adj)
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.adj)
-
-    @property
     def n_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj.values()) // 2
 
@@ -67,9 +63,6 @@ class HashtagGraph:
 
     def weight(self, a: str, b: str) -> int:
         return self.adj.get(a, {}).get(b, 0)
-
-    def neighbors(self, node: str) -> dict[str, int]:
-        return self.adj[node]
 
     def edges(self) -> list[tuple[str, str, int]]:
         """Each undirected edge once, endpoints ordered, sorted."""
@@ -258,7 +251,7 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
 
 def write_labels_csv(labels: dict[str, float], path: str | Path) -> None:
     """Label output: CSV ``hashtag,label`` with full-precision decimals."""
-    write_csv(path, ("hashtag", "label"), ((tag, repr(labels[tag])) for tag in sorted(labels)))
+    write_csv(path, ("hashtag", "label"), sorted(labels.items()))
 
 
 def read_labels_csv(path: str | Path) -> dict[str, float]:

@@ -9,12 +9,13 @@ received count, eigenvector centrality, and distinct-source count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .commnet import CommNetwork, NetworkKind, transpose
+from .commnet import CommNetwork, NetworkKind, transpose, weighted_union
 from .fileio import write_csv
 
 __all__ = [
@@ -82,25 +83,8 @@ def influence_base(mention: CommNetwork, retweet: CommNetwork) -> CommNetwork:
     transpose of the actor -> target orientation; received counts are
     therefore out-degrees of this base.
     """
-    if mention.kind is not NetworkKind.MENTION:
-        raise ValueError(f"expected a mention network, got {mention.kind.value}")
-    if retweet.kind is not NetworkKind.RETWEET:
-        raise ValueError(f"expected a retweet network, got {retweet.kind.value}")
-    if (
-        mention.corpus_digest is not None
-        and retweet.corpus_digest is not None
-        and mention.corpus_digest != retweet.corpus_digest
-    ):
-        raise ValueError("mention and retweet networks were built from different corpora")
-    base = CommNetwork(
-        kind=NetworkKind.INFLUENCE_BASE,
-        corpus_digest=mention.corpus_digest or retweet.corpus_digest,
-    )
-    for part in (transpose(mention), transpose(retweet)):
-        base.nodes.update(part.nodes)
-        for (src, dst), w in part.edges.items():
-            base.edges[(src, dst)] = base.edges.get((src, dst), 0) + w
-    return base
+    parts = {NetworkKind.MENTION: transpose(mention), NetworkKind.RETWEET: transpose(retweet)}
+    return weighted_union(NetworkKind.INFLUENCE_BASE, parts)
 
 
 def eigenvector_centrality(
@@ -159,28 +143,27 @@ class InfluencerReport:
 
 def _rank(scores: dict[str, float]) -> dict[str, int]:
     # competition ranking: 1 + number of strictly better scores
-    values = sorted(scores.values(), reverse=True)
-    return {u: 1 + sum(1 for v in values if v > s) for u, s in scores.items()}
+    values = sorted(scores.values())
+    return {u: 1 + len(values) - bisect_right(values, s) for u, s in scores.items()}
 
 
-def _received_report(net: CommNetwork, k: int) -> InfluencerReport:
+def super_spreaders(base: CommNetwork, k: int = 3) -> InfluencerReport:
+    """Top-k union over the three measures on the received-interactions base."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    received: dict[str, float] = {node: 0.0 for node in net.nodes}
-    sources: dict[str, float] = {node: 0.0 for node in net.nodes}
-    for (x, _), w in net.edges.items():
+    received: dict[str, float] = {node: 0.0 for node in base.nodes}
+    sources: dict[str, float] = {node: 0.0 for node in base.nodes}
+    for (x, _), w in base.edges.items():
         received[x] += w
         sources[x] += 1
-    centrality = eigenvector_centrality(net)
+    centrality = eigenvector_centrality(base)
 
     rank1, rank2, rank3 = _rank(received), _rank(centrality), _rank(sources)
-    measures = {
-        u: (received[u], centrality[u], sources[u]) for u in net.nodes
-    }
-    ranks = {u: (rank1[u], rank2[u], rank3[u]) for u in net.nodes}
+    measures = {u: (received[u], centrality[u], sources[u]) for u in base.nodes}
+    ranks = {u: (rank1[u], rank2[u], rank3[u]) for u in base.nodes}
     # a competition rank of at most k is a top-k score, ties at the k-th included
     super_accounts = {u for u, r in ranks.items() if min(r) <= k}
-    fraction = len(super_accounts) / len(net.nodes) if net.nodes else 0.0
+    fraction = len(super_accounts) / len(base.nodes) if base.nodes else 0.0
     return InfluencerReport(
         k=k,
         measures=measures,
@@ -190,17 +173,12 @@ def _received_report(net: CommNetwork, k: int) -> InfluencerReport:
     )
 
 
-def super_spreaders(base: CommNetwork, k: int = 3) -> InfluencerReport:
-    """Top-k union over the three measures on the received-interactions base."""
-    return _received_report(base, k)
-
-
 def super_friends(reciprocal: CommNetwork, k: int = 3) -> InfluencerReport:
     """Same measures on a reciprocal network; input must be symmetric."""
     if not reciprocal.is_symmetric():
         raise ValueError("super_friends requires a symmetric (reciprocal) network")
     # flip to received orientation so measure 1 counts what each account got
-    return _received_report(transpose(reciprocal), k)
+    return super_spreaders(transpose(reciprocal), k)
 
 
 def write_influencer_csv(report: InfluencerReport, path: str | Path) -> None:
@@ -210,9 +188,9 @@ def write_influencer_csv(report: InfluencerReport, path: str | Path) -> None:
         (
             (
                 user_id,
-                int(m1) if float(m1).is_integer() else repr(m1),
-                repr(m2),
-                int(m3) if float(m3).is_integer() else repr(m3),
+                int(m1) if float(m1).is_integer() else m1,
+                m2,
+                int(m3) if float(m3).is_integer() else m3,
                 str(user_id in report.super_accounts).lower(),
             )
             for user_id, (m1, m2, m3) in sorted(report.measures.items())

@@ -357,15 +357,8 @@ def stage_propagate(cfg: PipelineConfig, bundle: _Bundle) -> None:
     seeded, missing = seed_labels(graph, seeds)
     if missing:
         logger.warning("%s: seed hashtags absent from the graph: %s", bundle.stage, ", ".join(missing))
-    labels = propagate_labels(
-        seeded,
-        PropagationConfig(
-            gamma=cfg.gamma,
-            max_passes=cfg.max_passes,
-            unlabeled_as_zero=cfg.unlabeled_as_zero,
-        ),
-    )
-    bundle.put("labels", labels)
+    config = PropagationConfig(gamma=cfg.gamma, max_passes=cfg.max_passes, unlabeled_as_zero=cfg.unlabeled_as_zero)
+    bundle.put("labels", propagate_labels(seeded, config))
 
 
 def stage_classify(cfg: PipelineConfig, bundle: _Bundle) -> None:
@@ -571,6 +564,8 @@ def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
 
 def run_stage(name: str, cfg: PipelineConfig) -> None:
     """Run one stage against ``cfg.output_dir`` (created if needed)."""
+    if name not in _STAGES:
+        raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
     cfg.validate()
     _call(name, cfg, _Bundle(Path(cfg.output_dir), keep=False))
 

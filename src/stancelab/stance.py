@@ -137,14 +137,8 @@ _STANCE_COLUMNS = ("user_id", "polarity", "stance", "hashtag_count")
 def write_stance_csv(table: StanceTable, path: str | Path) -> None:
     """Output CSV: user_id,polarity,stance,hashtag_count (polarity blank when
     undefined)."""
-    write_csv(
-        path,
-        _STANCE_COLUMNS,
-        (
-            (user_id, "" if r.polarity is None else repr(r.polarity), r.stance.value, r.hashtag_count)
-            for user_id, r in sorted(table.rows.items())
-        ),
-    )
+    rows = sorted(table.rows.items())
+    write_csv(path, _STANCE_COLUMNS, ((u, r.polarity, r.stance.value, r.hashtag_count) for u, r in rows))
 
 
 def read_stance_csv(path: str | Path) -> StanceTable:

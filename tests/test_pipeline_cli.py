@@ -163,6 +163,13 @@ class TestStages:
             run_stage(stage, staged_cfg)
         assert digest_tree(e2e) == digest_tree(tmp_path / "staged")
 
+    def test_unknown_stage_is_named_before_validation(self, demo_cfg, tmp_path):
+        _, cfg = demo_cfg
+        invalid = replace(cfg, corpus_path=tmp_path / "absent.jsonl")
+        expected = f"unknown stage 'bogus'; stages are {', '.join(STAGE_ORDER)}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            run_stage("bogus", invalid)
+
     def test_missing_intermediate_names_prior_stage(self, demo_cfg):
         _, cfg = demo_cfg
         with pytest.raises(StageError) as info:

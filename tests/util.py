@@ -168,6 +168,13 @@ def oracle_top_k(scores: dict[str, float], k: int) -> set[str]:
     return {u for u, s in scores.items() if s >= threshold}
 
 
+def oracle_rank(scores: dict[str, float]) -> dict[str, int]:
+    """Competition ranks by counting, for each account, the strictly better
+    scores (the generator ``netmetrics._rank`` once ran)."""
+    values = sorted(scores.values(), reverse=True)
+    return {u: 1 + sum(1 for v in values if v > s) for u, s in scores.items()}
+
+
 def two_clique_graph(size_a: int, size_b: int) -> tuple[HashtagGraph, str, str]:
     """Two unit-weight cliques joined by one bridge (a_zz - b_zz).
 
@@ -253,4 +260,34 @@ def oracle_last_readers() -> dict[str, str]:
         "labels": "classify",
         "stance": "annotations",
         **{name: "metrics" for name in _ORACLE_NETWORKS},
+    }
+
+
+def oracle_config_readers() -> dict[str, str]:
+    """Each config field but the five required paths, mapped by hand to the
+    stage that reads it."""
+    return {
+        "strict_ingest": "ingest",
+        "min_cooccurrence": "hashtags",
+        **dict.fromkeys(("gamma", "max_passes", "unlabeled_as_zero"), "propagate"),
+        **dict.fromkeys(("presence_weighting", "include_retweet_hashtags"), "classify"),
+        **dict.fromkeys(("include_retweet_mentions", "reciprocal_base", "export_formats"), "networks"),
+        "top_k": "metrics",
+        **dict.fromkeys(
+            (
+                "lda_topics",
+                "lda_alpha",
+                "lda_beta",
+                "lda_iterations",
+                "lda_pool_by_user",
+                "rng_seed",
+                "stopword_file",
+                "topics_include_hashtags",
+                "topics_exclude_hashtags_in_report",
+                "frequencies_include_hashtags",
+                "top_n_words",
+            ),
+            "text",
+        ),
+        **dict.fromkeys(("sweep_grid", "sweep_include_global"), "annotations"),
     }
