@@ -433,24 +433,19 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
     stopwords = load_stopwords(cfg.stopword_file) if cfg.stopword_file else default_stopwords()
     exclude = corpus.all_hashtags() if cfg.topics_exclude_hashtags_in_report else None
 
-    for stance in _INFLUENCER_GROUPS:
-        members = table.group(stance)
-        tweets = [t for t in corpus.tweets if t.user_id in members]
+    groups: dict[Stance, list] = {stance: [] for stance in _INFLUENCER_GROUPS}
+    for t in corpus.tweets:
+        tweets = groups.get(table.stance_of(t.user_id))
+        if tweets is not None:
+            tweets.append(t)
 
-        freq_docs = tokenize(tweets, stopwords, include_hashtags=cfg.frequencies_include_hashtags)
-        frequencies = unigram_frequencies(freq_docs, cfg.top_n_words)
+    for stance, tweets in groups.items():
+        # Frequencies are counts, so the pooled documents give the same report.
+        views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user)
+        frequencies = unigram_frequencies(views[cfg.frequencies_include_hashtags], cfg.top_n_words)
         write_frequency_csv(frequencies, bundle.file(f"{TEXT_DIR}/frequencies_{stance.value}.csv"))
 
-        topic_docs = [
-            doc
-            for doc in tokenize(
-                tweets,
-                stopwords,
-                include_hashtags=cfg.topics_include_hashtags,
-                pool_by_user=cfg.lda_pool_by_user,
-            )
-            if doc.tokens
-        ]
+        topic_docs = [doc for doc in views[cfg.topics_include_hashtags] if doc.tokens]
         topics_path = bundle.file(f"{TEXT_DIR}/topics_{stance.value}.json")
         if topic_docs:
             model = lda_fit(

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
+from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,6 +31,7 @@ __all__ = [
     "default_stopwords",
     "tokenize",
     "tokenize_text",
+    "tokenize_text_both",
     "unigram_frequencies",
     "lda_fit",
     "top_words",
@@ -64,62 +68,61 @@ def _stopword_set(text: str) -> frozenset[str]:
 
 
 def _word_tokens(fragment: str, stopwords: frozenset[str]) -> list[str]:
-    tokens = []
-    for match in _WORD_RE.finditer(fragment.casefold()):
-        token = match.group(0)
-        if len(token) >= 2 and token not in stopwords:
-            tokens.append(token)
-    return tokens
+    return [t for t in _WORD_RE.findall(fragment.casefold()) if len(t) >= 2 and t not in stopwords]
+
+
+def tokenize_text_both(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Token sequences of one message without and with its hashtags, from
+    one URL, mention and hashtag pass; the words between hashtags are the
+    same in both, and a kept hashtag stays atomic."""
+    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
+    words: list[str] = []
+    tagged: list[str] = []
+    pos = 0
+    for match in _HASHTAG_RE.finditer(text):
+        between = _word_tokens(text[pos : match.start()], stopwords)
+        words += between
+        tagged += between
+        tag = normalize_hashtag(match.group(0))
+        if tag and len(tag) >= 2 and tag not in stopwords:
+            tagged.append(tag)
+        pos = match.end()
+    rest = _word_tokens(text[pos:], stopwords)
+    return tuple(words + rest), tuple(tagged + rest)
 
 
 def tokenize_text(text: str, stopwords: frozenset[str], include_hashtags: bool = False) -> tuple[str, ...]:
     """Token sequence for one message; hashtags stay atomic when kept."""
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    tokens: list[str] = []
-    pos = 0
-    for match in _HASHTAG_RE.finditer(text):
-        tokens.extend(_word_tokens(text[pos : match.start()], stopwords))
-        if include_hashtags:
-            tag = normalize_hashtag(match.group(0))
-            if tag and len(tag) >= 2 and tag not in stopwords:
-                tokens.append(tag)
-        pos = match.end()
-    tokens.extend(_word_tokens(text[pos:], stopwords))
-    return tuple(tokens)
+    return tokenize_text_both(text, stopwords)[include_hashtags]
 
 
 def tokenize(
     corpus: Corpus | Iterable[TweetRecord],
     stopwords: frozenset[str],
-    include_hashtags: bool = False,
     *,
     pool_by_user: bool = False,
-) -> list[TokenizedDoc]:
-    """One TokenizedDoc per tweet, in corpus order (empty docs included;
-    the LDA fit drops them).
+) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
+    """The documents without hashtags and the documents with them, from one
+    pass per tweet: one TokenizedDoc per tweet in corpus order (empty docs
+    included; the LDA fit drops them).
 
     ``pool_by_user`` concatenates each author's tweets into a single document
     (doc_id = user_id, first-author order), which helps topic models cope
     with very short messages.
     """
     tweets = corpus.tweets if isinstance(corpus, Corpus) else corpus
-    if not pool_by_user:
-        return [
-            TokenizedDoc(
-                doc_id=t.tweet_id,
-                tokens=tokenize_text(t.text, stopwords, include_hashtags),
-                hashtags_included=include_hashtags,
-            )
-            for t in tweets
-        ]
-    pooled: dict[str, list[str]] = {}
-    for t in tweets:
-        pooled.setdefault(t.user_id, []).extend(tokenize_text(t.text, stopwords, include_hashtags))
-    return [
-        TokenizedDoc(doc_id=user_id, tokens=tuple(tokens), hashtags_included=include_hashtags)
-        for user_id, tokens in pooled.items()
-    ]
+    docs = [(t.user_id if pool_by_user else t.tweet_id, tokenize_text_both(t.text, stopwords)) for t in tweets]
+    if pool_by_user:
+        pooled: dict[str, tuple[list[str], list[str]]] = {}
+        for user_id, (words, tagged) in docs:
+            pooled_words, pooled_tagged = pooled.setdefault(user_id, ([], []))
+            pooled_words += words
+            pooled_tagged += tagged
+        docs = [(user_id, (tuple(words), tuple(tagged))) for user_id, (words, tagged) in pooled.items()]
+    return tuple(
+        [TokenizedDoc(doc_id=doc_id, tokens=views[kept], hashtags_included=kept) for doc_id, views in docs]
+        for kept in (False, True)
+    )
 
 
 def unigram_frequencies(docs: Sequence[TokenizedDoc], top_n: int) -> list[tuple[str, int]]:
@@ -165,6 +168,20 @@ def lda_fit(
     (n_dt + alpha) * (n_tw + beta) / (n_t + V * beta), with the current token
     removed from all counts.  alpha defaults to 50 / k.  phi and theta are
     computed from the final counts with the same smoothing.
+
+    Bit-identity contract: the result equals, bit for bit, a per-token loop
+    of scalar NumPy draws, ``np.cumsum`` and ``np.searchsorted`` (the tests
+    keep that loop as the reference).  The initial topics come from one
+    ``rng.integers(0, k, n_tokens)``.  Each sweep draws one uniform per token,
+    in token order, as one ``rng.random(n_tokens)``; a Generator gives the
+    same stream for one vector call as for scalar calls.  Each weight is
+    ``(n_dt + alpha) * (n_tw + beta) / (n_t + V * beta)`` in exactly that
+    operation order.  The cumulative sum adds the weights one after another
+    from topic 0, as ``np.cumsum`` does, and the new topic is the first whose
+    cumulative weight exceeds ``u * total`` (``side="right"``), clamped to
+    k - 1.  The sweeps run on Python lists, which cost far less per element
+    than NumPy scalar access; with no sweeps the arrays are used as they are.
+    Cost grows with tokens x iterations x k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -202,21 +219,10 @@ def lda_fit(
     np.add.at(n_t, z, 1)
 
     v_beta = n_vocab * beta
-    for _ in range(iterations):
-        for i in range(n_tokens):
-            d, w, t = token_doc[i], token_word[i], z[i]
-            n_dt[d, t] -= 1
-            n_tw[t, w] -= 1
-            n_t[t] -= 1
-            weights = (n_dt[d] + alpha) * (n_tw[:, w] + beta) / (n_t + v_beta)
-            cum = np.cumsum(weights)
-            t_new = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            if t_new == k:  # guard against the draw landing exactly on the total
-                t_new = k - 1
-            z[i] = t_new
-            n_dt[d, t_new] += 1
-            n_tw[t_new, w] += 1
-            n_t[t_new] += 1
+    if iterations:
+        n_dt, n_tw, n_t = _gibbs_sweeps(
+            n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta, iterations, rng
+        )
 
     phi = (n_tw + beta) / (n_t + v_beta)[:, None]
     doc_lengths = n_dt.sum(axis=1)
@@ -231,6 +237,61 @@ def lda_fit(
         rng_seed=seed,
         vocab=vocab,
         doc_ids=tuple(doc.doc_id for doc in usable),
+    )
+
+
+def _gibbs_sweeps(n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta, iterations, rng):
+    """Run the sweeps on list copies of the counts; return the counts as arrays.
+
+    ``doc_rows[d][t]`` is ``n_dt[d, t]`` and ``word_cols[w][t]`` is
+    ``n_tw[t, w]``, so a token update touches one row of each.  Every count
+    table has a float twin holding count + prior (``doc_plus[d][t]`` is
+    ``n_dt[d, t] + alpha``), set from the integer whenever the count moves,
+    so the k weights are one ``map`` of multiply and divide over the twins
+    with the same operands as the formula.
+    """
+    doc_rows = n_dt.tolist()
+    word_cols = n_tw.T.tolist()
+    totals = n_t.tolist()
+    doc_plus = [[n + alpha for n in row] for row in doc_rows]
+    word_plus = [[n + beta for n in col] for col in word_cols]
+    totals_plus = [n + v_beta for n in totals]
+    tables = [
+        (doc_rows[d], doc_plus[d], word_cols[w], word_plus[w]) for d, w in zip(token_doc.tolist(), token_word.tolist())
+    ]
+    topic_of = z.tolist()
+    last = len(totals) - 1
+    for _ in range(iterations):
+        for i, u in enumerate(rng.random(len(topic_of)).tolist()):
+            row, row_plus, col, col_plus = tables[i]
+            t = topic_of[i]
+            n = row[t] - 1
+            row[t] = n
+            row_plus[t] = n + alpha
+            n = col[t] - 1
+            col[t] = n
+            col_plus[t] = n + beta
+            n = totals[t] - 1
+            totals[t] = n
+            totals_plus[t] = n + v_beta
+            cum = list(accumulate(map(truediv, map(mul, row_plus, col_plus), totals_plus)))
+            t = bisect_right(cum, u * cum[-1])
+            if t > last:  # guard against the draw landing exactly on the total
+                t = last
+            topic_of[i] = t
+            n = row[t] + 1
+            row[t] = n
+            row_plus[t] = n + alpha
+            n = col[t] + 1
+            col[t] = n
+            col_plus[t] = n + beta
+            n = totals[t] + 1
+            totals[t] = n
+            totals_plus[t] = n + v_beta
+    return (
+        np.array(doc_rows, dtype=np.int64),
+        np.ascontiguousarray(np.array(word_cols, dtype=np.int64).T),
+        np.array(totals, dtype=np.int64),
     )
 
 

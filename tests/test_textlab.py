@@ -1,8 +1,13 @@
 import json
+import warnings
+from bisect import bisect_right
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from stancelab import textlab
 from stancelab.textlab import (
     TokenizedDoc,
     default_stopwords,
@@ -10,12 +15,13 @@ from stancelab.textlab import (
     load_stopwords,
     tokenize,
     tokenize_text,
+    tokenize_text_both,
     top_words,
     unigram_frequencies,
     write_frequency_csv,
     write_topics_json,
 )
-from util import make_corpus, make_tweet
+from util import make_corpus, make_tweet, oracle_lda_fit, oracle_tokenize_text
 
 
 def doc(doc_id, *tokens):
@@ -54,7 +60,7 @@ class TestTokenize:
             make_tweet("t1", "u1", text="solar power wins"),
             make_tweet("t2", "u2", text=""),
         )
-        docs = tokenize(corpus, frozenset())
+        docs, _ = tokenize(corpus, frozenset())
         assert [d.doc_id for d in docs] == ["t1", "t2"]
         assert docs[0].tokens == ("solar", "power", "wins")
         assert docs[1].tokens == ()
@@ -65,7 +71,7 @@ class TestTokenize:
             make_tweet("t2", "u2", text="coal lobby"),
             make_tweet("t3", "u1", text="wind farms"),
         )
-        docs = tokenize(corpus, frozenset(), pool_by_user=True)
+        docs, _ = tokenize(corpus, frozenset(), pool_by_user=True)
         by_id = {d.doc_id: d.tokens for d in docs}
         assert by_id == {"u1": ("solar", "power", "wind", "farms"), "u2": ("coal", "lobby")}
 
@@ -198,3 +204,87 @@ def test_topics_json_schema(tmp_path):
     for entry in payload:
         for item in entry["top_words"]:
             assert set(item) == {"word", "prob"}
+
+
+STOPS = frozenset({"the", "and", "is", "hoax", "x_y"})
+pieces = st.one_of(
+    st.sampled_from(
+        (
+            "the", "And", "is", "a", "b", "Z", "ok", "Climate", "hoax", "x_y", "naïve", "STRASSE", "straße",
+            "http://x.co/a#tag", "https://t.co/xyz", "WWW.example.org/#x", "www.", "@alice", "@bob_2#tag",
+            "#Climate_Hoax", "#hoax", "#a", "##Tag", "#", "#_", "#x_y", "#ok#ok", "e-mail", "it's", "1", "42",
+        )
+    ),
+    st.text(max_size=6),
+)
+texts = st.lists(st.tuples(pieces, st.sampled_from((" ", "", ",", "\n", "#", "@"))), max_size=12).map(
+    lambda parts: "".join(p + sep for p, sep in parts)
+)
+
+
+@given(texts)
+@example("#ClimateHoax is a scam http://x.co @al #climate_hoax talk #hoax b")
+def test_one_pass_gives_both_token_sequences(text):
+    words, tagged = tokenize_text_both(text, STOPS)
+    assert words == oracle_tokenize_text(text, STOPS, False)
+    assert tagged == oracle_tokenize_text(text, STOPS, True)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from("uvw"), texts), max_size=8),
+    st.booleans(),
+)
+def test_tokenize_views_pool_in_first_author_order(tweets, pool_by_user):
+    corpus = make_corpus(*(make_tweet(f"t{i}", user, text=text) for i, (user, text) in enumerate(tweets)))
+    words, tagged = tokenize(corpus, STOPS, pool_by_user=pool_by_user)
+    expected: dict[str, tuple[list, list]] = {}
+    for i, (user, text) in enumerate(tweets):
+        views = expected.setdefault(user if pool_by_user else f"t{i}", ([], []))
+        for kept in (False, True):
+            views[kept].extend(oracle_tokenize_text(text, STOPS, kept))
+    for kept, docs in ((False, words), (True, tagged)):
+        assert [(d.doc_id, d.tokens, d.hashtags_included) for d in docs] == [
+            (doc_id, tuple(views[kept]), kept) for doc_id, views in expected.items()
+        ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_vector_uniforms_equal_scalar_draws(seed, n):
+    """lda_fit draws a sweep's uniforms as one vector; the bits rest on this."""
+    scalar = np.random.default_rng(seed)
+    assert np.array_equal(np.random.default_rng(seed).random(n), np.array([scalar.random() for _ in range(n)]))
+
+
+lda_docs = st.lists(st.lists(st.sampled_from(("w0", "w1", "w2", "w3", "w4", "w5")), max_size=12), min_size=1, max_size=6)
+
+
+@given(
+    docs=lda_docs.filter(lambda docs: any(docs)),
+    k=st.integers(1, 9),
+    alpha=st.one_of(st.none(), st.floats(0.01, 5.0)),
+    beta=st.floats(0.001, 3.0),
+    iterations=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lda_fit_matches_numpy_sampler(docs, k, alpha, beta, iterations, seed):
+    """Same counts, and the same cumulative weights and search point at every
+    token update: a last-bit change in a weight rarely moves a topic, so the
+    floats are compared too."""
+    docs = [doc(f"d{i}", *tokens) for i, tokens in enumerate(docs)]
+    draws = []
+
+    def recording_bisect(cum, point):
+        draws.append((list(cum), point))
+        return bisect_right(cum, point)
+
+    with warnings.catch_warnings(record=True) as caught, patch.object(textlab, "bisect_right", recording_bisect):
+        warnings.simplefilter("always")
+        model = lda_fit(docs, k, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
+    assert bool(caught) == (k > len(model.vocab))
+    expected_draws = []
+    phi, theta = oracle_lda_fit(docs, k, alpha=alpha, beta=beta, iterations=iterations, seed=seed, draws=expected_draws)
+    assert len(draws) == iterations * sum(len(d.tokens) for d in docs)
+    assert draws == expected_draws
+    assert np.array_equal(model.phi, phi)
+    assert np.array_equal(model.theta, theta)

@@ -7,6 +7,8 @@ eigendecomposition instead of power iteration).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from stancelab.commnet import CommNetwork, NetworkKind
@@ -291,3 +293,68 @@ def oracle_config_readers() -> dict[str, str]:
         ),
         **dict.fromkeys(("sweep_grid", "sweep_include_global"), "annotations"),
     }
+
+
+def oracle_lda_fit(docs, k: int, *, alpha: float | None = None, beta: float = 0.01, iterations: int, seed: int = 0, draws=None):
+    """``textlab.lda_fit``'s sampler as a per-token NumPy loop (one scalar
+    ``rng.random()`` and one ``np.cumsum``/``np.searchsorted`` per token
+    update); returns ``(phi, theta)``.  A ``draws`` list receives each
+    update's cumulative weights and the point searched for, as floats."""
+    alpha = 50.0 / k if alpha is None else alpha
+    usable = [doc for doc in docs if doc.tokens]
+    vocab = sorted({tok for doc in usable for tok in doc.tokens})
+    word_index = {w: i for i, w in enumerate(vocab)}
+    token_word = np.array([word_index[tok] for doc in usable for tok in doc.tokens], dtype=np.intp)
+    token_doc = np.array([d for d, doc in enumerate(usable) for _ in doc.tokens], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, k, size=len(token_word))
+    n_dt = np.zeros((len(usable), k), dtype=np.int64)
+    n_tw = np.zeros((k, len(vocab)), dtype=np.int64)
+    n_t = np.zeros(k, dtype=np.int64)
+    np.add.at(n_dt, (token_doc, z), 1)
+    np.add.at(n_tw, (z, token_word), 1)
+    np.add.at(n_t, z, 1)
+    v_beta = len(vocab) * beta
+    for _ in range(iterations):
+        for i in range(len(token_word)):
+            d, w, t = token_doc[i], token_word[i], z[i]
+            n_dt[d, t] -= 1
+            n_tw[t, w] -= 1
+            n_t[t] -= 1
+            weights = (n_dt[d] + alpha) * (n_tw[:, w] + beta) / (n_t + v_beta)
+            cum = np.cumsum(weights)
+            point = rng.random() * cum[-1]
+            if draws is not None:
+                draws.append((cum.tolist(), float(point)))
+            t_new = int(np.searchsorted(cum, point, side="right"))
+            if t_new == k:
+                t_new = k - 1
+            z[i] = t_new
+            n_dt[d, t_new] += 1
+            n_tw[t_new, w] += 1
+            n_t[t_new] += 1
+    phi = (n_tw + beta) / (n_t + v_beta)[:, None]
+    theta = (n_dt + alpha) / (n_dt.sum(axis=1) + k * alpha)[:, None]
+    return phi, theta
+
+
+def oracle_tokenize_text(text: str, stopwords: frozenset[str], include_hashtags: bool = False) -> tuple[str, ...]:
+    """One token sequence per call, with its own URL, mention and hashtag
+    pass (the tokenizer ``textlab.tokenize_text`` once was)."""
+    text = re.sub(r"(?:https?://\S+|www\.\S+)", " ", text, flags=re.IGNORECASE)
+    text = re.sub(r"@\w+", " ", text)
+
+    def words(fragment):
+        return [w for w in re.findall(r"[^\W_]+", fragment.casefold()) if len(w) >= 2 and w not in stopwords]
+
+    tokens: list[str] = []
+    pos = 0
+    for match in re.finditer(r"#\w+", text):
+        tokens.extend(words(text[pos : match.start()]))
+        if include_hashtags:
+            tag = normalize_hashtag(match.group(0))
+            if tag and len(tag) >= 2 and tag not in stopwords:
+                tokens.append(tag)
+        pos = match.end()
+    tokens.extend(words(text[pos:]))
+    return tuple(tokens)
