@@ -10,6 +10,7 @@ labeled-neighbor quorum by a slack term that grows with the pass count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from pathlib import Path
 
@@ -201,6 +202,13 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
     later nodes in the same pass.
     Nodes that never acquire a labeled neighbor stay out of the result.
     Seed labels are returned unchanged.
+
+    The passes run as a worklist: a pass labels only the nodes that qualify,
+    in position order, and a node that starts to qualify behind the current
+    position waits for the next pass.  A pass in which no node qualifies
+    labels nothing, so the run skips ahead to the first pass whose slack
+    lets a node qualify; the result is the same.  The cost grows with
+    edges times log nodes, not with passes times nodes.
     """
     config = config or PropagationConfig()
     if not graph.labels:
@@ -209,43 +217,72 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
         if node not in graph.adj:
             raise ValueError(f"label on unknown node {node!r}")
 
+    adj = graph.adj
     labels = dict(graph.labels)
-    order = sorted(graph.adj)
-    total = len(order)
-    limit = min(total, config.max_passes)
+    order = sorted(adj)
+    position = {node: i for i, node in enumerate(order)}
+    limit = min(len(order), config.max_passes)
+    # A node qualifies once it has a labeled neighbor and its deficit (degree
+    # minus labeled neighbors) is at most the slack; both only grow easier.
+    deficit = {node: len(nbrs) for node, nbrs in adj.items()}
+    qualified: set[str] = set()
+    waiting: list[tuple[int, int]] = []  # (deficit, position) of pending unqualified nodes, or stale
+    ready: list[int] = []  # positions still to label in this pass
+    carry: list[int] = []  # positions to label in the next pass
 
-    for pass_no in range(limit):
-        if len(labels) == total:
-            break
+    def settle(node: str, at: int, slack: int) -> None:
+        """Count ``node``, just labeled at position ``at``, for its neighbors."""
+        for m in adj[node]:
+            if m in labels:
+                continue
+            d = deficit[m] = deficit[m] - 1
+            if m in qualified:
+                continue
+            j = position[m]
+            if d > slack:
+                heappush(waiting, (d, j))
+                continue
+            qualified.add(m)
+            if j > at:
+                heappush(ready, j)
+            else:
+                carry.append(j)
+
+    for node in labels:  # seeds count from pass 0 on
+        settle(node, len(order), 0)
+    pass_no = 0
+    while pass_no < limit:
         slack = pass_no // config.gamma
-        progressed = False
-        candidates = False
-        for node in order:
-            if node in labels:
-                continue
-            nbrs = graph.adj[node]
-            labeled_nbrs = [m for m in sorted(nbrs) if m in labels]
-            if not labeled_nbrs:
-                continue  # the weighted average is undefined without labeled neighbors
-            candidates = True
-            if len(labeled_nbrs) + slack < len(nbrs):
-                continue
+        while waiting:
+            d, j = waiting[0]
+            if order[j] not in qualified and deficit[order[j]] == d:
+                if d > slack:
+                    break
+                qualified.add(order[j])
+                carry.append(j)
+            heappop(waiting)
+        if not carry:
+            if not waiting:
+                break  # remaining nodes have no labeled neighbor and never will
+            pass_no = config.gamma * waiting[0][0]  # the first pass in which one qualifies
+            continue
+        ready.extend(carry)
+        carry.clear()
+        heapify(ready)
+        while ready:
+            i = heappop(ready)
+            node = order[i]
+            nbrs = adj[node]
             score = 0.0
             denom = 0.0
-            if config.unlabeled_as_zero:
-                for m in sorted(nbrs):
+            for m in sorted(nbrs):
+                if config.unlabeled_as_zero or m in labels:
                     w = nbrs[m]
                     score += labels.get(m, 0.0) * w
                     denom += w
-            else:
-                for m in labeled_nbrs:
-                    w = nbrs[m]
-                    score += labels[m] * w
-                    denom += w
             labels[node] = score / denom
-            progressed = True
-        if not progressed and not candidates:
-            break  # remaining nodes have no labeled neighbor and never will
+            settle(node, i, slack)
+        pass_no += 1
     return labels
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stancelab.hashtag_graph import (
     HashtagGraph,
@@ -15,7 +16,7 @@ from stancelab.hashtag_graph import (
     write_graph_json,
     write_labels_csv,
 )
-from util import make_corpus, make_tweet, random_connected_graph, two_clique_graph
+from util import make_corpus, make_tweet, oracle_propagate_labels, random_connected_graph, two_clique_graph
 
 
 def worked_example_graph():
@@ -272,6 +273,86 @@ class TestPropagation:
                 expected_sign = 1.0 if node.startswith("a") else -1.0
                 assert math.copysign(1.0, labels[node]) == expected_sign
                 assert labels[node] != 0
+
+
+def graph_of(edges, isolated=(), seeds=()):
+    g = HashtagGraph()
+    for node in isolated:
+        g.add_node(node)
+    for a, b, w in edges:
+        g.add_edge(a, b, w)
+    for node, value in seeds:
+        g.set_label(node, value)
+    return g
+
+
+@st.composite
+def seeded_graphs(draw):
+    """Up to 14 nodes, sparse enough for isolated nodes and several
+    components, with 1 to 4 seeds."""
+    names = draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=1, max_size=14, unique=True))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[:i]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=25, unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    seeds = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0), min_size=len(seeds), max_size=len(seeds)))
+    return graph_of([(a, b, w) for (a, b), w in zip(edges, weights)], names, zip(seeds, values))
+
+
+class TestPropagationOracle:
+    @settings(max_examples=400)
+    @given(
+        seeded_graphs(),
+        st.sampled_from([1, 2, 3, 7, 100]),
+        st.sampled_from([1, 2, 5, 10**6]),
+        st.booleans(),
+    )
+    @example(graph_of([], ["a", "b", "c"], [("b", 1.0)]), 1, 10**6, False)
+    @example(graph_of([("a", "b", 1), ("x", "y", 2), ("y", "z", 1)], ["q"], [("a", 1.0), ("z", -1.0)]), 2, 10**6, True)
+    def test_matches_full_rescan(self, graph, gamma, max_passes, unlabeled_as_zero):
+        cfg = PropagationConfig(gamma=gamma, max_passes=max_passes, unlabeled_as_zero=unlabeled_as_zero)
+        # list and repr compare the insertion order and the float bits
+        assert repr(list(propagate_labels(graph, cfg).items())) == repr(list(oracle_propagate_labels(graph, cfg).items()))
+
+    # "x" has the seed and two unlabeled leaves as neighbors: deficit 2, so it
+    # first qualifies in pass gamma * 2.
+    STAR = [("s", "x", 1), ("x", "y1", 1), ("x", "y2", 1)]
+
+    @pytest.mark.parametrize("gamma", [1, 3])
+    def test_jump_lands_on_the_first_qualifying_pass(self, gamma):
+        graph = graph_of(self.STAR, [f"i{k}" for k in range(2 * gamma)], [("s", 1.0)])
+        assert len(graph.adj) > gamma * 2
+        for max_passes, labeled in ((gamma * 2, False), (gamma * 2 + 1, True)):
+            cfg = PropagationConfig(gamma=gamma, max_passes=max_passes)
+            labels = propagate_labels(graph, cfg)
+            assert ("x" in labels) is labeled
+            assert labels == oracle_propagate_labels(graph, cfg)
+
+    def test_node_count_caps_the_passes(self):
+        graph = graph_of(self.STAR, (), [("s", 1.0)])
+        assert len(graph.adj) < 3 * 2
+        assert propagate_labels(graph, PropagationConfig(gamma=3)) == {"s": 1.0}
+        padded = graph_of(self.STAR, ["i0", "i1", "i2"], [("s", 1.0)])
+        assert "x" in propagate_labels(padded, PropagationConfig(gamma=3))
+
+    @staticmethod
+    def passes_to_label_all(graph):
+        for max_passes in range(1, len(graph.adj) + 1):
+            cfg = PropagationConfig(gamma=1, max_passes=max_passes)
+            labels = propagate_labels(graph, cfg)
+            assert labels == oracle_propagate_labels(graph, cfg)
+            if len(labels) == len(graph.adj):
+                return max_passes
+        return None
+
+    def test_pass_order_follows_names(self):
+        # a node labeled in a pass counts for later names in that pass only
+        names = ["a", "b", "c", "d", "e"]
+        chain = [(u, v, 1) for u, v in zip(names, names[1:])]
+        increasing = graph_of(chain, (), [("a", 1.0)])
+        decreasing = graph_of(chain, (), [("e", 1.0)])
+        assert self.passes_to_label_all(increasing) == 2
+        assert self.passes_to_label_all(decreasing) == 5
 
 
 def test_labels_csv_roundtrip(tmp_path):

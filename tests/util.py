@@ -13,7 +13,7 @@ import numpy as np
 
 from stancelab.commnet import CommNetwork, NetworkKind
 from stancelab.corpus import Corpus, TweetRecord, normalize_hashtag
-from stancelab.hashtag_graph import HashtagGraph
+from stancelab.hashtag_graph import HashtagGraph, PropagationConfig
 
 
 def make_tweet(
@@ -196,6 +196,56 @@ def two_clique_graph(size_a: int, size_b: int) -> tuple[HashtagGraph, str, str]:
                 graph.add_edge(u, v, 1)
     graph.add_edge("a_zz", "b_zz", 1)
     return graph, "a00", "b00"
+
+
+def oracle_propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = None) -> dict[str, float]:
+    """``hashtag_graph.propagate_labels`` as a full rescan: every pass visits
+    every unlabeled node in lexicographic order, up to the pass cap."""
+    config = config or PropagationConfig()
+    if not graph.labels:
+        raise ValueError("graph has no seeded nodes")
+    for node in graph.labels:
+        if node not in graph.adj:
+            raise ValueError(f"label on unknown node {node!r}")
+
+    labels = dict(graph.labels)
+    order = sorted(graph.adj)
+    total = len(order)
+    limit = min(total, config.max_passes)
+
+    for pass_no in range(limit):
+        if len(labels) == total:
+            break
+        slack = pass_no // config.gamma
+        progressed = False
+        candidates = False
+        for node in order:
+            if node in labels:
+                continue
+            nbrs = graph.adj[node]
+            labeled_nbrs = [m for m in sorted(nbrs) if m in labels]
+            if not labeled_nbrs:
+                continue  # the weighted average is undefined without labeled neighbors
+            candidates = True
+            if len(labeled_nbrs) + slack < len(nbrs):
+                continue
+            score = 0.0
+            denom = 0.0
+            if config.unlabeled_as_zero:
+                for m in sorted(nbrs):
+                    w = nbrs[m]
+                    score += labels.get(m, 0.0) * w
+                    denom += w
+            else:
+                for m in labeled_nbrs:
+                    w = nbrs[m]
+                    score += labels[m] * w
+                    denom += w
+            labels[node] = score / denom
+            progressed = True
+        if not progressed and not candidates:
+            break  # remaining nodes have no labeled neighbor and never will
+    return labels
 
 
 def random_connected_graph(rng: np.random.Generator, max_nodes: int = 50) -> HashtagGraph:
