@@ -16,7 +16,6 @@ sums its parts' counts.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -205,29 +204,48 @@ def _export_dot(net: CommNetwork, path: Path) -> None:
 
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"
+# ElementTree's escapes for an attribute value.
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
+def _gexf_block(tag: str, depth: int, children: list[str]) -> list[str]:
+    pad = "  " * depth
+    return [f"{pad}<{tag}>", *children, f"{pad}</{tag}>"] if children else [f"{pad}<{tag} />"]
 
 
 def _export_gexf(net: CommNetwork, path: Path) -> None:
-    root = ET.Element("gexf", {"xmlns": _GEXF_NS, "version": "1.2"})
-    graph = ET.SubElement(root, "graph", {"defaultedgetype": "directed"})
-    attrs = ET.SubElement(graph, "attributes", {"class": "node"})
-    ET.SubElement(attrs, "attribute", {"id": "0", "title": "stance", "type": "string"})
-    nodes_el = ET.SubElement(graph, "nodes")
+    """GEXF 1.2 in the layout of ElementTree's ``indent`` and ``tostring``,
+    written as lines: building and serializing the tree cost several times more."""
+    nodes = []
     for node in sorted(net.nodes):
-        node_el = ET.SubElement(nodes_el, "node", {"id": node, "label": node})
-        values = ET.SubElement(node_el, "attvalues")
-        stance = net.node_attr.get(node, Stance.UNCLASSIFIED.value)
-        ET.SubElement(values, "attvalue", {"for": "0", "value": stance})
-    edges_el = ET.SubElement(graph, "edges")
-    for i, (src, dst, w) in enumerate(net.sorted_edges()):
-        ET.SubElement(
-            edges_el,
-            "edge",
-            {"id": str(i), "source": src, "target": dst, "weight": str(w)},
+        name = node.translate(_ATTR_ESCAPES)
+        stance = net.node_attr.get(node, Stance.UNCLASSIFIED.value).translate(_ATTR_ESCAPES)
+        nodes += (
+            f'      <node id="{name}" label="{name}">',
+            "        <attvalues>",
+            f'          <attvalue for="0" value="{stance}" />',
+            "        </attvalues>",
+            "      </node>",
         )
-    ET.indent(root)
-    payload = ET.tostring(root, encoding="unicode", xml_declaration=True)
-    write_text(path, payload + "\n")
+    edges = [
+        f'      <edge id="{i}" source="{src.translate(_ATTR_ESCAPES)}" target="{dst.translate(_ATTR_ESCAPES)}" weight="{w}" />'
+        for i, (src, dst, w) in enumerate(net.sorted_edges())
+    ]
+    lines = [
+        "<?xml version='1.0' encoding='utf-8'?>",
+        f'<gexf xmlns="{_GEXF_NS}" version="1.2">',
+        '  <graph defaultedgetype="directed">',
+        '    <attributes class="node">',
+        '      <attribute id="0" title="stance" type="string" />',
+        "    </attributes>",
+        *_gexf_block("nodes", 2, nodes),
+        *_gexf_block("edges", 2, edges),
+        "  </graph>",
+        "</gexf>",
+    ]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _export_edge_csv(net: CommNetwork, path: Path) -> None:

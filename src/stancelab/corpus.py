@@ -63,7 +63,7 @@ class Interaction:
         return self.source == self.target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One message. Hashtags are stored normalized; retweet text is verbatim."""
 
@@ -182,60 +182,99 @@ def record_to_dict(record: TweetRecord) -> dict:
     return obj
 
 
-def _expect_str(obj: dict, key: str, line_no: int, required: bool = True) -> str | None:
-    if key not in obj or obj[key] is None:
-        if required:
+class _TagCache(dict):
+    """Each raw hashtag's normalized form (None when nothing is left), worked
+    out once per load; looking up a value that is not a string raises
+    TypeError."""
+
+    def __missing__(self, raw: object) -> str | None:
+        if type(raw) is not str:
+            raise TypeError(raw)
+        tag = self[raw] = normalize_hashtag(raw)
+        return tag
+
+
+_OPTIONAL_STR = ("screen_name", "retweeted_user_id", "in_reply_to_user_id")
+_STR_OR_NONE = {str, type(None)}
+
+
+def _check_ids(tweet_id: object, user_id: object, text: object, line_no: int) -> None:
+    """Raise for the first bad one of the three required fields."""
+    for key, value in (("tweet_id", tweet_id), ("user_id", user_id)):
+        if value is None:
             raise CorpusFormatError(f"line {line_no}: missing required field {key!r}")
-        return None
-    value = obj[key]
-    if not isinstance(value, str):
-        raise CorpusFormatError(f"line {line_no}: field {key!r} must be a string")
-    return value
-
-
-def _parse_record(obj: object, line_no: int) -> TweetRecord:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"line {line_no}: expected a JSON object")
-    tweet_id = _expect_str(obj, "tweet_id", line_no)
-    user_id = _expect_str(obj, "user_id", line_no)
-    text = obj.get("text")
-    if text is None or not isinstance(text, str):
+        if type(value) is not str:
+            raise CorpusFormatError(f"line {line_no}: field {key!r} must be a string")
+    if type(text) is not str:
         raise CorpusFormatError(f"line {line_no}: missing required field 'text'")
-    if not tweet_id:
-        raise CorpusFormatError(f"line {line_no}: tweet_id must be nonempty")
-    if not user_id:
-        raise CorpusFormatError(f"line {line_no}: user_id must be nonempty")
+    for key, value in (("tweet_id", tweet_id), ("user_id", user_id)):
+        if not value:
+            raise CorpusFormatError(f"line {line_no}: {key} must be nonempty")
 
-    raw_tags = obj.get("hashtags")
-    if not isinstance(raw_tags, list) or any(not isinstance(h, str) for h in raw_tags):
-        raise CorpusFormatError(f"line {line_no}: 'hashtags' must be an array of strings")
-    hashtags = tuple(h for h in (normalize_hashtag(raw) for raw in raw_tags) if h)
 
-    mentions = obj.get("mentioned_user_ids", [])
-    if not isinstance(mentions, list) or any(not isinstance(m, str) for m in mentions):
+def _parse_record(obj: object, line_no: int, tags: _TagCache) -> TweetRecord:
+    """One validated record.  A bad record raises the message of its first
+    failing check, taken in this order: the ids and text, ``hashtags``,
+    ``mentioned_user_ids``, ``timestamp``, the optional strings.  JSON yields
+    exact ``dict``, ``list`` and ``str`` objects, so ``type(x) is`` tests them;
+    ``tags`` caches the normalized hashtags across one file."""
+    if type(obj) is not dict:
+        raise CorpusFormatError(f"line {line_no}: expected a JSON object")
+    get = obj.get
+    tweet_id, user_id, text = get("tweet_id"), get("user_id"), get("text")
+    if type(tweet_id) is not str or type(user_id) is not str or type(text) is not str or not tweet_id or not user_id:
+        _check_ids(tweet_id, user_id, text, line_no)
+
+    raw_tags = get("hashtags")
+    try:
+        if type(raw_tags) is not list:
+            raise TypeError(raw_tags)
+        hashtags = tuple(filter(None, map(tags.__getitem__, raw_tags)))
+    except TypeError:
+        raise CorpusFormatError(f"line {line_no}: 'hashtags' must be an array of strings") from None
+
+    mentions = get("mentioned_user_ids", [])
+    if type(mentions) is not list or (mentions and not all(type(m) is str for m in mentions)):
         raise CorpusFormatError(f"line {line_no}: 'mentioned_user_ids' must be an array of strings")
 
-    timestamp = None
-    if obj.get("timestamp") is not None:
-        raw_ts = obj["timestamp"]
-        if not isinstance(raw_ts, str):
+    timestamp = raw_ts = get("timestamp")
+    if raw_ts is not None:
+        if type(raw_ts) is not str:
             raise CorpusFormatError(f"line {line_no}: 'timestamp' must be an ISO-8601 string")
         try:
             timestamp = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
         except ValueError as exc:
             raise CorpusFormatError(f"line {line_no}: bad timestamp {raw_ts!r}: {exc}") from exc
 
+    optional = tuple(map(get, _OPTIONAL_STR))
+    if not set(map(type, optional)) <= _STR_OR_NONE:
+        key = next(key for key, value in zip(_OPTIONAL_STR, optional) if type(value) not in _STR_OR_NONE)
+        raise CorpusFormatError(f"line {line_no}: field {key!r} must be a string")
+    screen_name, retweeted_user_id, in_reply_to_user_id = optional
     return TweetRecord(
-        tweet_id=tweet_id,
-        user_id=user_id,
-        text=text,
-        hashtags=hashtags,
-        screen_name=_expect_str(obj, "screen_name", line_no, required=False) or "",
-        retweeted_user_id=_expect_str(obj, "retweeted_user_id", line_no, required=False),
-        in_reply_to_user_id=_expect_str(obj, "in_reply_to_user_id", line_no, required=False),
-        mentioned_user_ids=tuple(mentions),
-        timestamp=timestamp,
+        tweet_id,
+        user_id,
+        text,
+        hashtags,
+        screen_name or "",
+        retweeted_user_id,
+        in_reply_to_user_id,
+        tuple(mentions),
+        timestamp,
     )
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_line(line: str) -> object:
+    """``json.loads(line)``, without its wrapper's checks when the line is one
+    JSON value and its newline; any other line goes to ``json.loads``."""
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    return obj if line[end:] in ("", "\n") else json.loads(line)
 
 
 def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
@@ -248,6 +287,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
     """
     tweets: list[TweetRecord] = []
     seen: set[str] = set()
+    tags = _TagCache()
     skipped = 0
     duplicates = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -255,7 +295,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
             if not line.strip():
                 continue
             try:
-                record = _parse_record(json.loads(line), line_no)
+                record = _parse_record(_json_line(line), line_no, tags)
             except (json.JSONDecodeError, CorpusFormatError) as exc:
                 if strict:
                     if isinstance(exc, CorpusFormatError):

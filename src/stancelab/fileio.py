@@ -18,8 +18,8 @@ Every writer writes a temporary sibling file and moves it into place with
 ``os.replace``, so an interrupted or failed write leaves the old file as it
 was (or no file) and never a truncated one.
 
-``load_corpus`` parses its JSONL line by line with ``json.loads`` itself,
-because it skips or reports each bad line on its own.
+``load_corpus`` decodes its JSONL line by line itself, because it skips or
+reports each bad line on its own.
 """
 
 from __future__ import annotations
@@ -66,9 +66,13 @@ def read_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
+# ``json.dumps`` with these options builds a new encoder on every call.
+_JSONL_ENCODE = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def jsonl_line(obj: Any) -> str:
     """One JSONL line, newline included."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
+    return _JSONL_ENCODE(obj) + "\n"
 
 
 def write_jsonl(path: str | Path, objects: Iterable[Any]) -> None:

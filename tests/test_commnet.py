@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stancelab.commnet import (
     CommNetwork,
@@ -18,7 +19,7 @@ from stancelab.commnet import (
 )
 from stancelab.corpus import extract_interactions
 from stancelab.stance import Stance, StanceRow, StanceTable
-from util import make_corpus, make_tweet, random_corpus
+from util import make_corpus, make_tweet, oracle_gexf, random_corpus
 
 
 def stance_table(**stances) -> StanceTable:
@@ -261,6 +262,22 @@ class TestExports:
             assert len(values) == 1
         edge = root.find(".//g:edge", ns)
         assert edge.get("source") == "alice" and edge.get("weight") == "2"
+
+    @given(
+        st.lists(st.text(alphabet='a&<>"\'\r\n\t \u00e9', min_size=1, max_size=4), max_size=6, unique=True),
+        st.data(),
+    )
+    def test_gexf_bytes_match_elementtree(self, tmp_path_factory, names, data):
+        """Escaped names, nodes without a stance, and empty node or edge lists."""
+        net = CommNetwork(kind=NetworkKind.RETWEET, nodes=set(names))
+        if names:
+            pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8))
+            net.edges = {(src, dst): data.draw(st.integers(1, 30)) for src, dst in pairs if src != dst}
+        stances = st.sampled_from([s.value for s in Stance]) | st.text(alphabet='b&"\n', max_size=3)
+        net.node_attr = {n: data.draw(stances) for n in names if data.draw(st.booleans())}
+        path = tmp_path_factory.mktemp("gexf") / "net.gexf"
+        export_graph(net, "gexf", path)
+        assert path.read_bytes() == oracle_gexf(net).encode("utf-8")
 
     def test_edge_csv_roundtrip(self, tmp_path):
         path = tmp_path / "net.csv"

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from dataclasses import FrozenInstanceError
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stancelab.corpus import (
     Corpus,
@@ -15,7 +16,7 @@ from stancelab.corpus import (
     normalize_hashtag,
     record_to_dict,
 )
-from util import make_corpus, make_tweet, oracle_hashtag_counts, random_corpus
+from util import make_corpus, make_tweet, oracle_hashtag_counts, oracle_load_corpus, random_corpus
 
 import numpy as np
 
@@ -195,6 +196,64 @@ def test_digest_after_dump_serializes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr("stancelab.corpus.jsonl_line", refuse)
     assert corpus.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# JSON values of every kind, to put where a field or a hashtag belongs.
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(alphabet="ab #Z", max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from(["k", "text"]), inner, max_size=2),
+    max_leaves=4,
+)
+raw_tag = st.text(alphabet="aZ# \u00e9\u0130", max_size=4) | json_value
+
+
+@st.composite
+def corpus_line(draw) -> str:
+    """One line a corpus file might hold: a record, a record with fields
+    dropped or replaced by other JSON, some other JSON value, or not JSON."""
+    kind = draw(st.sampled_from(["record", "record", "record", "value", "text", "blank"]))
+    if kind == "value":
+        return json.dumps(draw(json_value))
+    if kind == "text":
+        return draw(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    obj = record_to_dict(draw(record_strategy))
+    obj["tweet_id"] = draw(st.sampled_from(["1", "2", "3", ""]))  # repeats and an empty id
+    obj["hashtags"] = draw(st.lists(raw_tag, max_size=3))
+    keys = sorted({*obj, "screen_name", "retweeted_user_id", "in_reply_to_user_id", "mentioned_user_ids", "timestamp"})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(json_value)
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans()))
+    return draw(st.sampled_from(["", " ", "\ufeff"])) + line + draw(st.sampled_from(["", " ", "\t", " x", "{}"]))
+
+
+def load_outcome(load, path, strict):
+    try:
+        corpus = load(path, strict=strict)
+    except CorpusFormatError as exc:
+        return f"CorpusFormatError: {exc}"
+    return repr(corpus.tweets), corpus.skipped_count, corpus.duplicate_count
+
+
+@settings(max_examples=300)
+@given(st.lists(corpus_line(), max_size=8), st.booleans())
+def test_load_matches_the_line_by_line_oracle(tmp_path_factory, lines, strict):
+    """Same records, counts and error message as ``json.loads`` and
+    ``isinstance`` checks on every line."""
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    assert load_outcome(load_corpus, path, strict) == load_outcome(oracle_load_corpus, path, strict)
+
+
+def test_records_stay_frozen():
+    record = make_tweet("t1", "u1")
+    with pytest.raises(FrozenInstanceError):
+        record.text = "changed"
 
 
 def test_indices_match_brute_force():

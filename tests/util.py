@@ -7,13 +7,17 @@ eigendecomposition instead of power iteration).
 
 from __future__ import annotations
 
+import json
 import re
+import xml.etree.ElementTree as ET
+from datetime import datetime
 
 import numpy as np
 
 from stancelab.commnet import CommNetwork, NetworkKind
-from stancelab.corpus import Corpus, TweetRecord, normalize_hashtag
+from stancelab.corpus import Corpus, CorpusFormatError, TweetRecord, normalize_hashtag
 from stancelab.hashtag_graph import HashtagGraph, PropagationConfig
+from stancelab.stance import Stance
 
 
 def make_tweet(
@@ -82,6 +86,92 @@ def oracle_hashtag_counts(corpus: Corpus, user_id: str, include_retweets: bool =
     return counts
 
 
+def _oracle_expect_str(obj: dict, key: str, line_no: int, required: bool = True) -> str | None:
+    if key not in obj or obj[key] is None:
+        if required:
+            raise CorpusFormatError(f"line {line_no}: missing required field {key!r}")
+        return None
+    value = obj[key]
+    if not isinstance(value, str):
+        raise CorpusFormatError(f"line {line_no}: field {key!r} must be a string")
+    return value
+
+
+def _oracle_parse_record(obj: object, line_no: int) -> TweetRecord:
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"line {line_no}: expected a JSON object")
+    tweet_id = _oracle_expect_str(obj, "tweet_id", line_no)
+    user_id = _oracle_expect_str(obj, "user_id", line_no)
+    text = obj.get("text")
+    if text is None or not isinstance(text, str):
+        raise CorpusFormatError(f"line {line_no}: missing required field 'text'")
+    if not tweet_id:
+        raise CorpusFormatError(f"line {line_no}: tweet_id must be nonempty")
+    if not user_id:
+        raise CorpusFormatError(f"line {line_no}: user_id must be nonempty")
+
+    raw_tags = obj.get("hashtags")
+    if not isinstance(raw_tags, list) or any(not isinstance(h, str) for h in raw_tags):
+        raise CorpusFormatError(f"line {line_no}: 'hashtags' must be an array of strings")
+    hashtags = tuple(h for h in (normalize_hashtag(raw) for raw in raw_tags) if h)
+
+    mentions = obj.get("mentioned_user_ids", [])
+    if not isinstance(mentions, list) or any(not isinstance(m, str) for m in mentions):
+        raise CorpusFormatError(f"line {line_no}: 'mentioned_user_ids' must be an array of strings")
+
+    timestamp = None
+    if obj.get("timestamp") is not None:
+        raw_ts = obj["timestamp"]
+        if not isinstance(raw_ts, str):
+            raise CorpusFormatError(f"line {line_no}: 'timestamp' must be an ISO-8601 string")
+        try:
+            timestamp = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise CorpusFormatError(f"line {line_no}: bad timestamp {raw_ts!r}: {exc}") from exc
+
+    return TweetRecord(
+        tweet_id=tweet_id,
+        user_id=user_id,
+        text=text,
+        hashtags=hashtags,
+        screen_name=_oracle_expect_str(obj, "screen_name", line_no, required=False) or "",
+        retweeted_user_id=_oracle_expect_str(obj, "retweeted_user_id", line_no, required=False),
+        in_reply_to_user_id=_oracle_expect_str(obj, "in_reply_to_user_id", line_no, required=False),
+        mentioned_user_ids=tuple(mentions),
+        timestamp=timestamp,
+    )
+
+
+def oracle_load_corpus(path, strict: bool = False) -> Corpus:
+    """The corpus reader as first written: ``json.loads`` on every line and
+    ``isinstance`` checks field by field, one ``normalize_hashtag`` per tag."""
+    tweets: list[TweetRecord] = []
+    seen: set[str] = set()
+    skipped = 0
+    duplicates = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _oracle_parse_record(json.loads(line), line_no)
+            except (json.JSONDecodeError, CorpusFormatError) as exc:
+                if strict:
+                    if isinstance(exc, CorpusFormatError):
+                        raise
+                    raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+                skipped += 1
+                continue
+            if record.tweet_id in seen:
+                if strict:
+                    raise CorpusFormatError(f"line {line_no}: duplicate tweet_id {record.tweet_id!r}")
+                duplicates += 1
+                continue
+            seen.add(record.tweet_id)
+            tweets.append(record)
+    return Corpus(tweets=tweets, skipped_count=skipped, duplicate_count=duplicates)
+
+
 def random_network(rng: np.random.Generator, max_nodes: int = 20, edge_prob: float | None = None) -> CommNetwork:
     n = int(rng.integers(2, max_nodes + 1))
     p = float(rng.uniform(0.05, 0.5)) if edge_prob is None else edge_prob
@@ -93,6 +183,30 @@ def random_network(rng: np.random.Generator, max_nodes: int = 20, edge_prob: flo
             if a != b and rng.random() < p:
                 net.edges[(a, b)] = int(rng.integers(1, 6))
     return net
+
+
+def oracle_gexf(net: CommNetwork) -> str:
+    """The GEXF export as first written: an ElementTree, ``indent`` and
+    ``tostring`` with the XML declaration, then a final newline."""
+    root = ET.Element("gexf", {"xmlns": "http://www.gexf.net/1.2draft", "version": "1.2"})
+    graph = ET.SubElement(root, "graph", {"defaultedgetype": "directed"})
+    attrs = ET.SubElement(graph, "attributes", {"class": "node"})
+    ET.SubElement(attrs, "attribute", {"id": "0", "title": "stance", "type": "string"})
+    nodes_el = ET.SubElement(graph, "nodes")
+    for node in sorted(net.nodes):
+        node_el = ET.SubElement(nodes_el, "node", {"id": node, "label": node})
+        values = ET.SubElement(node_el, "attvalues")
+        stance = net.node_attr.get(node, Stance.UNCLASSIFIED.value)
+        ET.SubElement(values, "attvalue", {"for": "0", "value": stance})
+    edges_el = ET.SubElement(graph, "edges")
+    for i, (src, dst, w) in enumerate(net.sorted_edges()):
+        ET.SubElement(
+            edges_el,
+            "edge",
+            {"id": str(i), "source": src, "target": dst, "weight": str(w)},
+        )
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
 def random_spectral_network(rng: np.random.Generator, max_nodes: int = 15) -> CommNetwork:
