@@ -8,10 +8,10 @@ actor -> target; self-interactions are excluded from edges but tallied in
 
 The derivations (``reciprocal_subnetwork``, ``group_subgraph``,
 ``attach_stances``, ``transpose``) copy: the result shares no set or dict
-with its input.  Each keeps the input's ``corpus_digest`` and ``kind``, except
-that the reciprocal subnetwork's kind is ``RECIPROCAL``.  ``attach_stances``
-keeps the input's ``self_loop_count``; the other three set it to 0.  A union
-sums its parts' counts.
+with its input.  Each keeps the input's ``kind``, except that the reciprocal
+subnetwork's kind is ``RECIPROCAL``.  ``attach_stances`` keeps the input's
+``self_loop_count``; the other three set it to 0.  A union sums its parts'
+counts.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class CommNetwork:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
     node_attr: dict[str, str] = field(default_factory=dict)
     self_loop_count: int = field(default=0, compare=False)
-    corpus_digest: str | None = field(default=None, compare=False)
 
     def add_edge(self, src: str, dst: str, weight: int = 1) -> None:
         if src == dst:
@@ -98,7 +97,7 @@ def build_network(
     if kind not in _BUILDABLE:
         raise ValueError(f"cannot build a {kind.value} network directly")
     wanted = InteractionKind(kind.value)
-    net = CommNetwork(kind=kind, corpus_digest=corpus.digest())
+    net = CommNetwork(kind=kind)
     for t in corpus.tweets:
         for inter in extract_interactions(t):
             if inter.kind is not wanted:
@@ -112,21 +111,13 @@ def build_network(
     return net
 
 
-def weighted_union(kind: NetworkKind, parts: dict[NetworkKind, CommNetwork], digest: str | None = None) -> CommNetwork:
-    """Union of the parts' nodes with their edge weights and self-loop counts summed.
-
-    Each part must have the kind it is keyed by and come from the corpus with
-    ``digest`` (by default, the first one a part carries); a part without one
-    matches any.
-    """
-    if digest is None:
-        digest = next((net.corpus_digest for net in parts.values() if net.corpus_digest is not None), None)
-    union = CommNetwork(kind=kind, corpus_digest=digest)
+def weighted_union(kind: NetworkKind, parts: dict[NetworkKind, CommNetwork]) -> CommNetwork:
+    """Union of the parts' nodes with their edge weights and self-loop counts
+    summed; each part must have the kind it is keyed by."""
+    union = CommNetwork(kind=kind)
     for expected, net in parts.items():
         if net.kind is not expected:
             raise ValueError(f"expected a {expected.value} network, got {net.kind.value}")
-        if net.corpus_digest not in (None, digest):
-            raise ValueError(f"{expected.value} network is from a different corpus; different corpora do not sum")
         union.nodes.update(net.nodes)
         for edge, w in net.edges.items():
             union.edges[edge] = union.edges.get(edge, 0) + w
@@ -143,10 +134,10 @@ def all_communication(
     """Weighted edge union of the three kind networks.
 
     Tweeting contributes nodes, not edges, so every corpus author appears
-    even when isolated.  All inputs must come from the given corpus.
+    even when isolated.  The caller builds the networks from ``corpus``.
     """
     parts = {NetworkKind.RETWEET: retweet, NetworkKind.MENTION: mention, NetworkKind.REPLY: reply}
-    combined = weighted_union(NetworkKind.ALL_COMMUNICATION, parts, corpus.digest())
+    combined = weighted_union(NetworkKind.ALL_COMMUNICATION, parts)
     combined.nodes.update(corpus.users)
     return combined
 
@@ -275,7 +266,6 @@ def write_network_json(net: CommNetwork, path: str | Path) -> None:
             "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
             "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
             "self_loop_count": net.self_loop_count,
-            "corpus_digest": net.corpus_digest,
         },
     )
 
@@ -288,5 +278,4 @@ def read_network_json(path: str | Path) -> CommNetwork:
         edges={(a, b): int(w) for a, b, w in data["edges"]},
         node_attr=dict(data.get("node_attr", {})),
         self_loop_count=int(data.get("self_loop_count", 0)),
-        corpus_digest=data.get("corpus_digest"),
     )

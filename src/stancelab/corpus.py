@@ -8,14 +8,13 @@ keys ``screen_name``, ``retweeted_user_id``, ``in_reply_to_user_id``,
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
-from .fileio import jsonl_line, write_jsonl
+from .fileio import write_jsonl
 
 __all__ = [
     "CorpusFormatError",
@@ -102,15 +101,13 @@ class Corpus:
     """Immutable-after-load tweet collection, grouped by author.
 
     ``users`` maps each user_id to that author's records in corpus order, so
-    a per-user question reads only the author's own tweets.  The digest is
-    cached per instance; ``dump_corpus`` sets it from the bytes it writes.
+    a per-user question reads only the author's own tweets.
     """
 
     tweets: list[TweetRecord]
     skipped_count: int = field(default=0, compare=False)
     duplicate_count: int = field(default=0, compare=False)
     users: dict[str, list[TweetRecord]] = field(init=False, repr=False, compare=False)
-    _digest: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.users = {}
@@ -150,15 +147,6 @@ class Corpus:
             if t.screen_name and t.user_id not in names:
                 names[t.user_id] = t.screen_name
         return names
-
-    def digest(self) -> str:
-        """SHA-256 of the bytes ``dump_corpus`` writes, cached per instance."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            for t in self.tweets:
-                h.update(jsonl_line(record_to_dict(t)).encode("utf-8"))
-            self._digest = h.hexdigest()
-        return self._digest
 
 
 def record_to_dict(record: TweetRecord) -> dict:
@@ -290,7 +278,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
     tags = _TagCache()
     skipped = 0
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -314,7 +302,5 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
 
 
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write canonical JSONL and cache the file's SHA-256 as the corpus digest;
-    reloading yields an equal Corpus."""
+    """Write canonical JSONL; reloading yields an equal Corpus."""
     write_jsonl(path, (record_to_dict(t) for t in corpus.tweets))
-    corpus._digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()

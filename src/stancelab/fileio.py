@@ -13,6 +13,7 @@ module, so one set of rules fixes their bytes:
   missing required header names the file, and a row shorter than the header
   names the file and the line.
 * Text (the DOT and GEXF exports, the demo config): UTF-8, written as given.
+* On read, a UTF-8 byte-order mark at the start of a file is dropped.
 
 Every writer writes a temporary sibling file and moves it into place with
 ``os.replace``, so an interrupted or failed write leaves the old file as it
@@ -97,7 +98,7 @@ def read_csv(
     unless ``header_optional``, a file without it is an error.
     """
     columns = ",".join(header)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = enumerate(csv.reader(fh), start=1)
         first = next(rows, (1, []))
         if [c.strip().lower() for c in first[1][: len(header)]] != list(header):

@@ -12,7 +12,9 @@ the file.  ``run_pipeline`` keeps each value in memory until its last reader
 has run (a value no stage reads, not at all), builds the bundle in a
 temporary sibling directory and renames it into place once every stage has
 succeeded.  ``run_stage`` runs one stage against ``output_dir`` and keeps
-nothing, so ``get`` reads the file.  Both paths write the same bytes.
+nothing, so ``get`` reads the file.  Both paths write the same bytes.  The
+manifest records what the bundle is built from (``_built_from``) and the
+``stages`` run since ``ingest``; ``run_stage`` refuses to mix builds.
 
 To add a stage, write its function and add its entry at its place in the
 table, with an ``_INTERMEDIATES`` entry for each new value it puts.
@@ -50,7 +52,7 @@ from .commnet import (
     write_network_json,
 )
 from .corpus import dump_corpus, load_corpus
-from .fileio import write_json
+from .fileio import read_json, write_json
 from .hashtag_graph import (
     PropagationConfig,
     SeedSpec,
@@ -225,7 +227,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
-        return cls.from_text(path.read_text(encoding="utf-8"), base_dir=path.resolve().parent)
+        return cls.from_text(path.read_text(encoding="utf-8-sig"), base_dir=path.resolve().parent)
 
     @staticmethod
     def parse_value(name: str, text: str, base_dir: Path) -> Any:
@@ -288,13 +290,14 @@ class _Bundle:
 
     With ``keep``, ``put`` also holds a value that some stage reads, ``get``
     returns it from memory, and ``forget`` drops it after its last reader.
-    ``stage`` names the running stage for messages.
+    Without ``keep``, ``get`` reads the file if ``stages`` lists its producer.
     """
 
     def __init__(self, root: Path, keep: bool) -> None:
         self.root = root
         self.keep = keep
-        self.stage = ""
+        self.stage = ""  # the running stage, for messages
+        self.stages: list[str] = list(STAGE_ORDER) if keep else []
         self._kept: dict[str, Any] = {}
 
     def file(self, rel: str) -> Path:
@@ -316,14 +319,20 @@ class _Bundle:
     def get(self, name: str) -> Any:
         if self.keep:
             return self._kept[name]
-        item = _INTERMEDIATES[name]
-        return item.read(self.require(item.path, _PRODUCER[name]))
+        item, producer = _INTERMEDIATES[name], _PRODUCER[name]
+        path = self.require(item.path, producer)
+        self.require_run(producer)
+        return item.read(path)
 
     def require(self, rel: str, producer: str) -> Path:
         path = self.root / rel
         if not path.is_file():
             raise StageError(self.stage, f"missing intermediate {rel!r}; run the {producer} stage first")
         return path
+
+    def require_run(self, stage: str) -> None:
+        if stage not in self.stages:
+            raise StageError(self.stage, f"{MANIFEST_FILE} lists no {stage} stage; run the {stage} stage first")
 
 
 def _export_path(name: str, fmt: str) -> str:
@@ -479,20 +488,25 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    """Verify the bundle and write the manifest (the only timestamped file)."""
-    expected = bundle_files(cfg)
-    manifest = {
+def _built_from(cfg: PipelineConfig) -> dict[str, Any]:
+    return {
         "artifact": "stancelab",
         "version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(),
         "config_hash": cfg.config_hash(),
         "config_text": cfg.to_text(),
         "rng_seed": cfg.rng_seed,
         "input_digests": {name: _file_sha256(path) for name, path in cfg.input_files().items()},
-        "outputs": {rel: _file_sha256(bundle.require(rel, expected[rel])) for rel in sorted(expected)},
     }
-    write_json(bundle.file(MANIFEST_FILE), manifest)
+
+
+def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
+    """Verify the bundle and write the manifest (the only timestamped file)."""
+    expected = bundle_files(cfg)
+    outputs = {rel: _file_sha256(bundle.require(rel, expected[rel])) for rel in sorted(expected)}
+    for stage in STAGE_ORDER[:-1]:  # every stage but this one
+        bundle.require_run(stage)
+    stamp = {"created_at": datetime.now(timezone.utc).isoformat(), "stages": list(STAGE_ORDER), "outputs": outputs}
+    write_json(bundle.file(MANIFEST_FILE), {**_built_from(cfg), **stamp})
 
 
 @dataclass(frozen=True)
@@ -557,12 +571,32 @@ def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
         raise StageError(name, str(exc)) from exc
 
 
+def _refuse_foreign(out: Path, stage: str) -> None:
+    if out.exists() and not (out / MANIFEST_FILE).is_file() and (not out.is_dir() or any(out.iterdir())):
+        raise StageError(stage, f"refusing to use {out} for a bundle: it is not empty and holds no {MANIFEST_FILE}")
+
+
 def run_stage(name: str, cfg: PipelineConfig) -> None:
-    """Run one stage against ``cfg.output_dir`` (created if needed)."""
+    """Run one stage against ``cfg.output_dir`` (created if needed), checking the manifest first."""
     if name not in _STAGES:
         raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
     cfg.validate()
-    _call(name, cfg, _Bundle(Path(cfg.output_dir), keep=False))
+    bundle = _Bundle(Path(cfg.output_dir), keep=False)
+    manifest, built_from = bundle.root / MANIFEST_FILE, _built_from(cfg)
+    if name == "ingest":
+        _refuse_foreign(bundle.root, name)
+        write_json(bundle.file(MANIFEST_FILE), {**built_from, "stages": []})
+    elif manifest.is_file():
+        try:
+            found = read_json(manifest)
+        except ValueError:
+            found = {}  # an unreadable manifest describes no build
+        if any(found.get(key) != value for key, value in built_from.items()):
+            raise StageError(name, f"{manifest} is not from this config and these inputs; run the ingest stage first")
+        bundle.stages = found.get("stages", [])
+    _call(name, cfg, bundle)
+    if name != "report":  # report writes the whole manifest
+        write_json(manifest, {**built_from, "stages": [s for s in STAGE_ORDER if s in bundle.stages or s == name]})
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -576,12 +610,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """
     cfg.validate()
     out_dir = Path(cfg.output_dir)
-    if (
-        out_dir.exists()
-        and not (out_dir / MANIFEST_FILE).is_file()
-        and (not out_dir.is_dir() or any(out_dir.iterdir()))
-    ):
-        raise StageError("run", f"refusing to replace {out_dir}: it is not empty and holds no {MANIFEST_FILE}")
+    _refuse_foreign(out_dir, "run")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
     try:

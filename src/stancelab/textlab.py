@@ -30,7 +30,6 @@ __all__ = [
     "load_stopwords",
     "default_stopwords",
     "tokenize",
-    "tokenize_text",
     "tokenize_text_both",
     "unigram_frequencies",
     "lda_fit",
@@ -54,7 +53,7 @@ class TokenizedDoc:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stop-word file: one word per line, '#' comments and blanks ignored."""
-    return _stopword_set(Path(path).read_text(encoding="utf-8"))
+    return _stopword_set(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def default_stopwords() -> frozenset[str]:
@@ -89,11 +88,6 @@ def tokenize_text_both(text: str, stopwords: frozenset[str]) -> tuple[tuple[str,
         pos = match.end()
     rest = _word_tokens(text[pos:], stopwords)
     return tuple(words + rest), tuple(tagged + rest)
-
-
-def tokenize_text(text: str, stopwords: frozenset[str], include_hashtags: bool = False) -> tuple[str, ...]:
-    """Token sequence for one message; hashtags stay atomic when kept."""
-    return tokenize_text_both(text, stopwords)[include_hashtags]
 
 
 def tokenize(

@@ -102,17 +102,6 @@ class TestAllCommunication:
         assert combined.nodes == {"a", "b"}
         assert combined.edges == {}
 
-    def test_mismatched_corpora_rejected(self):
-        corpus1 = make_corpus(make_tweet("t1", "a", retweeted="b"))
-        corpus2 = make_corpus(make_tweet("t9", "z", retweeted="b"))
-        with pytest.raises(ValueError, match="different corpus"):
-            all_communication(
-                build_network(corpus2, NetworkKind.RETWEET),
-                build_network(corpus1, NetworkKind.MENTION),
-                build_network(corpus1, NetworkKind.REPLY),
-                corpus1,
-            )
-
     def test_kind_mismatch_rejected(self):
         corpus = make_corpus(make_tweet("t1", "a"))
         mention = build_network(corpus, NetworkKind.MENTION)
@@ -295,7 +284,7 @@ class TestExports:
 
 
 def test_network_json_roundtrip(tmp_path):
-    net = CommNetwork(kind=NetworkKind.ALL_COMMUNICATION, corpus_digest="abc")
+    net = CommNetwork(kind=NetworkKind.ALL_COMMUNICATION)
     net.add_edge("a", "b", 2)
     net.nodes.add("island")
     net.node_attr = {"a": "believer"}
@@ -304,4 +293,3 @@ def test_network_json_roundtrip(tmp_path):
     loaded = read_network_json(tmp_path / "net.json")
     assert loaded == net
     assert loaded.self_loop_count == 3
-    assert loaded.corpus_digest == "abc"

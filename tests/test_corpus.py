@@ -1,4 +1,3 @@
-import hashlib
 import json
 from dataclasses import FrozenInstanceError
 from datetime import datetime, timezone
@@ -177,27 +176,6 @@ def test_roundtrip_property(tmp_path_factory, records):
     assert load_corpus(path, strict=True) == corpus
 
 
-@given(st.lists(record_strategy, max_size=12, unique_by=lambda t: t.tweet_id))
-def test_digest_is_the_hash_of_the_dumped_bytes(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("digest") / "c.jsonl"
-    dump_corpus(make_corpus(*records), path)
-    never_dumped = make_corpus(*records)
-    assert never_dumped.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_digest_after_dump_serializes_nothing(tmp_path, monkeypatch):
-    rng = np.random.default_rng(43)
-    corpus = random_corpus(rng, n_tweets=30)
-    path = tmp_path / "c.jsonl"
-    dump_corpus(corpus, path)
-
-    def refuse(obj):
-        raise AssertionError("digest serialized a record again")
-
-    monkeypatch.setattr("stancelab.corpus.jsonl_line", refuse)
-    assert corpus.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 # JSON values of every kind, to put where a field or a hashtag belongs.
 json_value = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(alphabet="ab #Z", max_size=4),
@@ -296,13 +274,6 @@ def test_hashtag_counts_exclude_retweets():
     with pytest.raises(KeyError):
         corpus.hashtag_counts("nobody")
 
-
-def test_digest_tracks_content():
-    c1 = make_corpus(make_tweet("t1", "u1", text="x"))
-    c2 = make_corpus(make_tweet("t1", "u1", text="x"))
-    c3 = make_corpus(make_tweet("t1", "u1", text="y"))
-    assert c1.digest() == c2.digest()
-    assert c1.digest() != c3.digest()
 
 
 def test_record_to_dict_omits_empty_optionals():

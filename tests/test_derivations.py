@@ -1,6 +1,6 @@
 """The rules every network derivation keeps: it copies, it keeps the input's
-kind and corpus digest (the reciprocal network takes its own kind), and it
-keeps or resets the self-loop count as documented in stancelab.commnet."""
+kind (the reciprocal network takes its own kind), and it keeps or resets the
+self-loop count as documented in stancelab.commnet."""
 
 import copy
 
@@ -27,7 +27,7 @@ def test_derivation_copies_and_keeps_its_fields(name, seed, kind, self_loops):
     derive, result_kind, keeps_self_loops = DERIVATIONS[name]
     rng = np.random.default_rng(seed)
     net = random_network(rng)
-    net.kind, net.corpus_digest, net.self_loop_count = kind, "digest-of-the-corpus", self_loops
+    net.kind, net.self_loop_count = kind, self_loops
     stances = list(Stance)
     net.node_attr = {n: stances[int(rng.integers(0, 3))].value for n in sorted(net.nodes) if rng.random() < 0.7}
     table = StanceTable(
@@ -38,7 +38,6 @@ def test_derivation_copies_and_keeps_its_fields(name, seed, kind, self_loops):
     out = derive(net, table)
 
     assert out.kind is (result_kind or kind)
-    assert out.corpus_digest == "digest-of-the-corpus"
     assert out.self_loop_count == (self_loops if keeps_self_loops else 0)
     out.nodes.add("zz_new")
     out.edges[("zz_new", "zz_other")] = 1

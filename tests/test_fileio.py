@@ -1,9 +1,16 @@
+import codecs
 import os
 
 import pytest
 
 from stancelab import fileio
+from stancelab.annotations import load_account_types, load_bot_scores
+from stancelab.corpus import load_corpus
+from stancelab.demo import write_demo_config
 from stancelab.fileio import jsonl_line, read_csv, read_json, write_csv, write_json, write_jsonl, write_text
+from stancelab.hashtag_graph import SeedSpec
+from stancelab.pipeline import PipelineConfig
+from stancelab.textlab import load_stopwords
 
 
 def test_json_dialect(tmp_path):
@@ -103,3 +110,31 @@ def test_failed_first_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "x.json", {"a": 1, "b": object()})  # fails after "a" is written
     assert list(tmp_path.iterdir()) == []
+
+
+def _corpus_outcome(path, strict):
+    corpus = load_corpus(path, strict=strict)
+    return corpus.tweets, corpus.skipped_count, corpus.duplicate_count
+
+
+# Each input file with its reader.  Spreadsheet tools start a UTF-8 file with a byte-order mark.
+_INPUT_READERS = {
+    "corpus.jsonl (lenient)": ("corpus.jsonl", lambda p: _corpus_outcome(p, strict=False)),
+    "corpus.jsonl (strict)": ("corpus.jsonl", lambda p: _corpus_outcome(p, strict=True)),
+    "config.cfg": ("config.cfg", PipelineConfig.from_file),
+    "seeds.csv": ("seeds.csv", SeedSpec.from_csv),
+    "bot_scores.csv": ("bot_scores.csv", load_bot_scores),
+    "account_types.csv": ("account_types.csv", load_account_types),
+    "stopwords.txt": ("stopwords.txt", load_stopwords),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_READERS))
+def test_a_leading_byte_order_mark_is_ignored(case, tmp_path):
+    name, read = _INPUT_READERS[case]
+    write_demo_config(tmp_path)
+    (tmp_path / "stopwords.txt").write_text("the\nscam\n", encoding="utf-8")
+    path = tmp_path / name
+    plain = read(path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read(path) == plain

@@ -158,12 +158,6 @@ class TestInfluenceBase:
         with pytest.raises(ValueError, match="mention"):
             influence_base(retweet, retweet)
 
-    def test_corpus_mismatch(self):
-        c1 = make_corpus(make_tweet("t1", "a"))
-        c2 = make_corpus(make_tweet("t2", "b"))
-        with pytest.raises(ValueError, match="different corpora"):
-            influence_base(build_network(c1, NetworkKind.MENTION), build_network(c2, NetworkKind.RETWEET))
-
 
 class TestEigenvectorCentrality:
     def test_empty(self):

@@ -225,6 +225,86 @@ class TestStages:
         assert "annotations" in str(info.value)
 
 
+def _flip_presence_weighting(cfg):
+    return replace(cfg, presence_weighting=not cfg.presence_weighting)
+
+
+def _flip_seed_labels(cfg):
+    header, *rows = cfg.seed_file.read_text(encoding="utf-8").splitlines()
+    flipped = [f"{tag},{-float(label):g}" for tag, label in (row.split(",") for row in rows)]
+    cfg.seed_file.write_text("\n".join([header, *flipped]) + "\n", encoding="utf-8")
+    return cfg
+
+
+class TestProvenance:
+    """Under ``run_stage``, the manifest says what the bundle is built from and
+    which stages have run for it; a stage refuses to mix builds."""
+
+    @pytest.mark.parametrize("change", [_flip_presence_weighting, _flip_seed_labels])
+    def test_classify_refuses_another_config_or_other_inputs(self, demo_cfg, change):
+        _, cfg = demo_cfg
+        out = run_pipeline(cfg)
+        before = {name: (out / name).read_bytes() for name in ("stance.csv", "manifest.json")}
+        with pytest.raises(StageError, match="run the ingest stage first") as info:
+            run_stage("classify", change(cfg))
+        assert info.value.stage == "classify"
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_ingest_under_another_config_starts_a_new_build(self, demo_cfg):
+        _, cfg = demo_cfg
+        out = run_pipeline(cfg)
+        other = _flip_presence_weighting(cfg)
+        run_stage("ingest", other)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert "outputs" not in manifest
+        assert manifest["stages"] == ["ingest"]
+        with pytest.raises(StageError, match="run the propagate stage first"):
+            run_stage("classify", other)
+        with pytest.raises(StageError, match="run the hashtags stage first"):
+            run_stage("report", other)
+
+    # A failure at the first network leaves one network file, at the last all five.
+    @pytest.mark.parametrize("failing", ["retweet", "reciprocal"])
+    def test_a_failed_stage_is_not_recorded(self, demo_cfg, monkeypatch, failing):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("networks")]:
+            run_stage(stage, cfg)
+        export = pipeline.export_graph
+
+        def export_or_fail(net, fmt, path):
+            if net.kind.value == failing:
+                raise OSError("no space left on device")
+            export(net, fmt, path)
+
+        monkeypatch.setattr(pipeline, "export_graph", export_or_fail)
+        with pytest.raises(StageError, match="no space left"):
+            run_stage("networks", cfg)
+        assert (cfg.output_dir / "networks" / f"{failing}.json").is_file()
+        with pytest.raises(StageError, match="run the networks stage first") as info:
+            run_stage("metrics", cfg)
+        assert info.value.stage == "metrics"
+
+    @pytest.mark.parametrize("damage", ["drop stages", "truncate"])
+    def test_old_or_unreadable_manifest_names_ingest(self, demo_cfg, damage):
+        _, cfg = demo_cfg
+        path = run_pipeline(cfg) / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["stages"]  # as written before the manifest listed them
+        text = json.dumps(manifest)
+        path.write_text(text if damage == "drop stages" else text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(StageError, match="run the ingest stage first"):
+            run_stage("hashtags", cfg)
+
+    def test_ingest_refuses_a_directory_without_manifest(self, demo_cfg, tmp_path):
+        _, cfg = demo_cfg
+        unrelated = tmp_path / "precious"
+        unrelated.mkdir()
+        (unrelated / "thesis.tex").write_text("keep me", encoding="utf-8")
+        with pytest.raises(StageError, match="manifest"):
+            run_stage("ingest", replace(cfg, output_dir=unrelated))
+        assert [p.name for p in unrelated.iterdir()] == ["thesis.tex"]
+
+
 class TestCli:
     def test_run_and_exit_codes(self, demo_cfg, capsys):
         cfg_path, cfg = demo_cfg

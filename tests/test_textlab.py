@@ -14,7 +14,6 @@ from stancelab.textlab import (
     lda_fit,
     load_stopwords,
     tokenize,
-    tokenize_text,
     tokenize_text_both,
     top_words,
     unigram_frequencies,
@@ -30,29 +29,29 @@ def doc(doc_id, *tokens):
 
 class TestTokenize:
     def test_url_and_case_and_stopwords(self):
-        tokens = tokenize_text("We need climate ACTION now! http://x.co", frozenset({"we", "now"}))
+        tokens = tokenize_text_both("We need climate ACTION now! http://x.co", frozenset({"we", "now"}))[False]
         assert tokens == ("need", "climate", "action")
 
     def test_all_stopwords_gives_empty(self):
-        assert tokenize_text("We now", frozenset({"we", "now"})) == ()
+        assert tokenize_text_both("We now", frozenset({"we", "now"})) == ((), ())
 
     def test_hashtags_kept_as_atomic_tokens(self):
         stops = default_stopwords()
-        tokens = tokenize_text("#ClimateHoax is a scam", stops, include_hashtags=True)
+        tokens = tokenize_text_both("#ClimateHoax is a scam", stops)[True]
         assert tokens == ("climatehoax", "scam")
 
     def test_hashtags_dropped_by_default(self):
         stops = default_stopwords()
-        assert tokenize_text("#ClimateHoax is a scam", stops) == ("scam",)
+        assert tokenize_text_both("#ClimateHoax is a scam", stops)[False] == ("scam",)
 
     def test_mentions_stripped(self):
-        assert tokenize_text("@alice says hello", frozenset()) == ("says", "hello")
+        assert tokenize_text_both("@alice says hello", frozenset()) == (("says", "hello"),) * 2
 
     def test_short_tokens_dropped(self):
-        assert tokenize_text("a b cd", frozenset()) == ("cd",)
+        assert tokenize_text_both("a b cd", frozenset()) == (("cd",),) * 2
 
     def test_hashtag_with_underscore_stays_atomic(self):
-        tokens = tokenize_text("#climate_hoax talk", frozenset(), include_hashtags=True)
+        tokens = tokenize_text_both("#climate_hoax talk", frozenset())[True]
         assert tokens == ("climate_hoax", "talk")
 
     def test_corpus_tokenize_keeps_order_and_ids(self):

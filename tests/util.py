@@ -144,12 +144,13 @@ def _oracle_parse_record(obj: object, line_no: int) -> TweetRecord:
 
 def oracle_load_corpus(path, strict: bool = False) -> Corpus:
     """The corpus reader as first written: ``json.loads`` on every line and
-    ``isinstance`` checks field by field, one ``normalize_hashtag`` per tag."""
+    ``isinstance`` checks field by field, one ``normalize_hashtag`` per tag;
+    a byte-order mark that starts the file is dropped."""
     tweets: list[TweetRecord] = []
     seen: set[str] = set()
     skipped = 0
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -504,7 +505,7 @@ def oracle_lda_fit(docs, k: int, *, alpha: float | None = None, beta: float = 0.
 
 def oracle_tokenize_text(text: str, stopwords: frozenset[str], include_hashtags: bool = False) -> tuple[str, ...]:
     """One token sequence per call, with its own URL, mention and hashtag
-    pass (the tokenizer ``textlab.tokenize_text`` once was)."""
+    pass (the tokenizer ``textlab`` had before ``tokenize_text_both``)."""
     text = re.sub(r"(?:https?://\S+|www\.\S+)", " ", text, flags=re.IGNORECASE)
     text = re.sub(r"@\w+", " ", text)
 
