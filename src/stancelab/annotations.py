@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .fileio import read_csv, write_csv, write_json
+from .fileio import parse_field, read_csv, write_csv, write_json
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -43,29 +43,28 @@ class BotScoreTable:
         return len(self.scores)
 
 
+def _bot_score(row: list[str]) -> tuple[str, float]:
+    prob = parse_field(float, row[1], "probability")
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"probability {prob} out of [0, 1]")
+    return row[0], prob
+
+
 def load_bot_scores(path: str | Path) -> BotScoreTable:
     """Bot scores CSV: header ``user_id,probability``."""
-    scores: dict[str, float] = {}
-    for line_no, row in read_csv(path, ("user_id", "probability"), header_optional=True):
-        try:
-            prob = float(row[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: bad probability {row[1]!r}") from exc
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"{path}: line {line_no}: probability {prob} out of [0, 1]")
-        scores[row[0]] = prob
-    return BotScoreTable(scores=scores)
+    return BotScoreTable(scores=dict(read_csv(path, ("user_id", "probability"), _bot_score, header_optional=True)))
+
+
+def _account_type(row: list[str]) -> tuple[str, str]:
+    kind = row[1].strip().lower()
+    if kind not in _ACCOUNT_TYPES:
+        raise ValueError(f"unknown account type {row[1]!r}")
+    return row[0], kind
 
 
 def load_account_types(path: str | Path) -> dict[str, str]:
     """Account types CSV: header ``user_id,type`` with type in {news, other}."""
-    types: dict[str, str] = {}
-    for line_no, row in read_csv(path, ("user_id", "type"), header_optional=True):
-        kind = row[1].strip().lower()
-        if kind not in _ACCOUNT_TYPES:
-            raise ValueError(f"{path}: line {line_no}: unknown account type {row[1]!r}")
-        types[row[0]] = kind
-    return types
+    return dict(read_csv(path, ("user_id", "type"), _account_type, header_optional=True))
 
 
 def classify_bots(scores: BotScoreTable, threshold: float) -> set[str]:

@@ -64,18 +64,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "run":
             out = run_pipeline(cfg)
             print(f"report bundle written to {out}")
         else:
             run_stage(args.command, cfg)
             print(f"stage {args.command} complete in {cfg.output_dir}")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # the OSError of a config file; run and the stages raise StageError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

@@ -11,7 +11,7 @@ module, so one set of rules fixes their bytes:
   quoting and LF row ends.  On read, blank rows are skipped; the header is
   compared trimmed and lower-cased, extra trailing columns are allowed; a
   missing required header names the file, and a row shorter than the header
-  names the file and the line.
+  or a bad value names the file and the line.
 * Text (the DOT and GEXF exports, the demo config): UTF-8, written as given.
 * On read, a UTF-8 byte-order mark at the start of a file is dropped.
 
@@ -31,9 +31,9 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
-__all__ = ["write_json", "read_json", "jsonl_line", "write_jsonl", "write_csv", "read_csv", "write_text"]
+__all__ = ["write_json", "read_json", "jsonl_line", "write_jsonl", "write_csv", "read_csv", "parse_field", "write_text"]
 
 
 @contextmanager
@@ -90,9 +90,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
 
 
 def read_csv(
-    path: str | Path, header: Sequence[str], *, header_optional: bool = False
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, row)`` for each non-blank data row, counting from 1.
+    path: str | Path, header: Sequence[str], convert: Callable[[list[str]], Any], *, header_optional: bool = False
+) -> Iterator[Any]:
+    """Yield ``convert(row)`` for each non-blank data row; a ``ValueError`` it raises names the file and line.
 
     ``header`` lists the lower-case column names.  The header row is line 1;
     unless ``header_optional``, a file without it is an error.
@@ -108,6 +108,18 @@ def read_csv(
         for line_no, row in rows:
             if not row or not "".join(row).strip():
                 continue
-            if len(row) < len(header):
-                raise ValueError(f"{path}: line {line_no}: expected {columns!r}")
-            yield line_no, row
+            try:
+                if len(row) < len(header):
+                    raise ValueError(f"expected {columns!r}")
+                value = convert(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            yield value
+
+
+def parse_field(parse: Callable[[str], Any], text: str, name: str) -> Any:
+    """``parse(text)``, with a ``ValueError`` from it said as ``bad <name> '<text>'``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}") from None

@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .corpus import Corpus, normalize_hashtag
-from .fileio import read_csv, read_json, write_csv, write_json
+from .fileio import parse_field, read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "HashtagGraph",
@@ -116,42 +116,27 @@ class SeedSpec:
     def __post_init__(self) -> None:
         seen: dict[str, int] = {}
         for tag, label in self.entries:
-            if label not in (-1, 1):
-                raise ValueError(f"seed label for {tag!r} must be -1 or +1, got {label}")
-            if normalize_hashtag(tag) != tag:
+            if _add_seed(seen, tag, label)[0] != tag:
                 raise ValueError(f"seed hashtag {tag!r} is not normalized")
-            if seen.get(tag, label) != label:
-                raise ValueError(f"contradictory seed labels for {tag!r}")
-            seen[tag] = label
-
-    @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, int]] | dict[str, int]) -> "SeedSpec":
-        items = pairs.items() if isinstance(pairs, dict) else pairs
-        entries = []
-        for raw, label in items:
-            tag = normalize_hashtag(raw)
-            if tag is None:
-                raise ValueError(f"empty seed hashtag from {raw!r}")
-            entries.append((tag, int(label)))
-        # drop exact duplicates, keep first occurrence order
-        unique: list[tuple[str, int]] = []
-        seen: set[tuple[str, int]] = set()
-        for entry in entries:
-            if entry not in seen:
-                seen.add(entry)
-                unique.append(entry)
-        return cls(entries=tuple(unique))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SeedSpec":
         """Seed file: CSV with header ``hashtag,label``, label in {-1, 1}."""
-        pairs = []
-        for line_no, row in read_csv(path, ("hashtag", "label")):
-            try:
-                pairs.append((row[0], int(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: bad label {row[1]!r}") from exc
-        return cls.from_pairs(pairs)
+        seen: dict[str, int] = {}
+        pairs = read_csv(path, ("hashtag", "label"), lambda r: _add_seed(seen, r[0], parse_field(int, r[1], "label")))
+        return cls(entries=tuple(dict(pairs).items()))
+
+
+def _add_seed(seen: dict[str, int], raw: str, label: int) -> tuple[str, int]:
+    """Check seed ``raw`` with ``label`` against ``seen`` (tag -> label), add it and return it normalized."""
+    tag = normalize_hashtag(raw)
+    if tag is None:
+        raise ValueError(f"empty seed hashtag from {raw!r}")
+    if label not in (-1, 1):
+        raise ValueError(f"seed label for {tag!r} must be -1 or +1, got {label}")
+    if seen.setdefault(tag, label) != label:
+        raise ValueError(f"contradictory seed labels for {tag!r}")
+    return tag, label
 
 
 def seed_labels(graph: HashtagGraph, seeds: SeedSpec) -> tuple[HashtagGraph, list[str]]:
@@ -292,13 +277,7 @@ def write_labels_csv(labels: dict[str, float], path: str | Path) -> None:
 
 
 def read_labels_csv(path: str | Path) -> dict[str, float]:
-    labels: dict[str, float] = {}
-    for line_no, row in read_csv(path, ("hashtag", "label")):
-        try:
-            labels[row[0]] = float(row[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: bad label {row[1]!r}") from exc
-    return labels
+    return dict(read_csv(path, ("hashtag", "label"), lambda row: (row[0], parse_field(float, row[1], "label"))))
 
 
 def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:

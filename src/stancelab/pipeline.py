@@ -4,17 +4,17 @@
 function, the intermediates it reads, the intermediates it ``put``s, and its
 other bundle files for a config.  ``_INTERMEDIATES`` gives each intermediate
 its bundle path, reader and writer.  The stage order, the producer a missing
-intermediate names, how long ``run_pipeline`` keeps each value and the
-bundle's file list are all read off the table.
+intermediate names, how long a bundle holds each value and the bundle's
+file list are all read off the table.
 
-Stages pass intermediates through a ``_Bundle``, whose ``put`` always writes
-the file.  ``run_pipeline`` keeps each value in memory until its last reader
-has run (a value no stage reads, not at all), builds the bundle in a
-temporary sibling directory and renames it into place once every stage has
-succeeded.  ``run_stage`` runs one stage against ``output_dir`` and keeps
-nothing, so ``get`` reads the file.  Both paths write the same bytes.  The
-manifest records what the bundle is built from (``_built_from``) and the
-``stages`` run since ``ingest``; ``run_stage`` refuses to mix builds.
+Each stage runs as one ``_Bundle.step``, which records it in ``stages``.
+``run_pipeline`` steps through every stage on one bundle in a temporary
+sibling directory, so each value is handed on in memory, and renames it into
+place once every stage has succeeded.  ``run_stage`` takes one step against
+``output_dir``, so ``get`` reads the files earlier steps wrote.  Both write
+the same bytes.  The manifest records what the bundle is built from
+(``_built_from``) and the ``stages`` run since ``ingest``; ``run_stage``
+refuses other inputs or another config, but not another name for the directory.
 
 To add a stage, write its function and add its entry at its place in the
 table, with an ``_INTERMEDIATES`` entry for each new value it puts.
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .annotations import (
@@ -206,15 +206,17 @@ class PipelineConfig:
 
     @classmethod
     def from_text(cls, text: str, base_dir: Path | None = None) -> "PipelineConfig":
-        raw: dict[str, str] = {}
+        raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key in raw:
+                raise ConfigError(f"config key {key!r} is set twice, on lines {raw[key][0]} and {line_no}")
+            raw[key] = line_no, value
         unknown = set(raw) - set(FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -222,7 +224,7 @@ class PipelineConfig:
             if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
                 raise ConfigError(f"missing required config key {f.name!r}")
         base_dir = base_dir or Path.cwd()
-        return cls(**{key: cls.parse_value(key, value, base_dir) for key, value in raw.items()})
+        return cls(**{key: cls.parse_value(key, value, base_dir) for key, (_, value) in raw.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -288,17 +290,27 @@ _INTERMEDIATES: dict[str, _Intermediate] = {
 class _Bundle:
     """One build's bundle directory, through which stages pass intermediates.
 
-    With ``keep``, ``put`` also holds a value that some stage reads, ``get``
-    returns it from memory, and ``forget`` drops it after its last reader.
-    Without ``keep``, ``get`` reads the file if ``stages`` lists its producer.
+    ``step`` runs a stage and records it in ``stages``.  ``put`` writes the
+    file and holds the value while a later stage reads it; ``get`` returns a
+    held value, or else reads the file if ``stages`` lists its producer.
+    ``built_from`` is what the manifest records the bundle is built from.
     """
 
-    def __init__(self, root: Path, keep: bool) -> None:
+    def __init__(self, root: Path, cfg: PipelineConfig) -> None:
         self.root = root
-        self.keep = keep
+        self.cfg = cfg
+        self.built_from = _built_from(cfg)
+        self.stages: list[str] = []
         self.stage = ""  # the running stage, for messages
-        self.stages: list[str] = list(STAGE_ORDER) if keep else []
-        self._kept: dict[str, Any] = {}
+        self._held: dict[str, Any] = {}
+
+    def step(self, name: str) -> None:
+        """Run stage ``name``, record it, and drop the values no later stage reads."""
+        self.stage = name
+        with _failing_as(name):
+            _STAGES[name](self.cfg, self)
+        self.stages.append(name)
+        self._held = {item: value for item, value in self._held.items() if _LAST_READER[item] != name}
 
     def file(self, rel: str) -> Path:
         """The path of bundle file ``rel``, with its directory made."""
@@ -309,16 +321,12 @@ class _Bundle:
     def put(self, name: str, value: Any) -> None:
         item = _INTERMEDIATES[name]
         item.write(value, self.file(item.path))
-        if self.keep and name in _LAST_READER:
-            self._kept[name] = value
-
-    def forget(self, stage: str) -> None:
-        """Drop the kept values that no stage after ``stage`` reads."""
-        self._kept = {name: value for name, value in self._kept.items() if _LAST_READER[name] != stage}
+        if name in _LAST_READER:
+            self._held[name] = value
 
     def get(self, name: str) -> Any:
-        if self.keep:
-            return self._kept[name]
+        if name in self._held:
+            return self._held[name]
         item, producer = _INTERMEDIATES[name], _PRODUCER[name]
         path = self.require(item.path, producer)
         self.require_run(producer)
@@ -333,6 +341,17 @@ class _Bundle:
     def require_run(self, stage: str) -> None:
         if stage not in self.stages:
             raise StageError(self.stage, f"{MANIFEST_FILE} lists no {stage} stage; run the {stage} stage first")
+
+
+@contextmanager
+def _failing_as(stage: str) -> Iterator[None]:
+    """Raise a failure in the block as a ``StageError`` naming ``stage``, unless it is one already."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, str(exc)) from exc
 
 
 def _export_path(name: str, fmt: str) -> str:
@@ -506,7 +525,7 @@ def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
     for stage in STAGE_ORDER[:-1]:  # every stage but this one
         bundle.require_run(stage)
     stamp = {"created_at": datetime.now(timezone.utc).isoformat(), "stages": list(STAGE_ORDER), "outputs": outputs}
-    write_json(bundle.file(MANIFEST_FILE), {**_built_from(cfg), **stamp})
+    write_json(bundle.file(MANIFEST_FILE), {**bundle.built_from, **stamp})
 
 
 @dataclass(frozen=True)
@@ -544,7 +563,7 @@ _STAGE_TABLE: dict[str, _Stage] = {
     "report": _Stage(stage_report),
 }
 
-# Read off the table.  ``_call`` looks each stage function up in ``_STAGES``
+# Read off the table.  ``_Bundle.step`` looks each stage function up in ``_STAGES``
 # when it runs, so a function patched in there is the one called.
 _STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {name: s.run for name, s in _STAGE_TABLE.items()}
 STAGE_ORDER = tuple(_STAGE_TABLE)
@@ -561,19 +580,15 @@ def bundle_files(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _call(name: str, cfg: PipelineConfig, bundle: _Bundle) -> None:
-    bundle.stage = name
-    try:
-        _STAGES[name](cfg, bundle)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
-
-
 def _refuse_foreign(out: Path, stage: str) -> None:
     if out.exists() and not (out / MANIFEST_FILE).is_file() and (not out.is_dir() or any(out.iterdir())):
         raise StageError(stage, f"refusing to use {out} for a bundle: it is not empty and holds no {MANIFEST_FILE}")
+
+
+def _location_free(built_from: dict[str, Any]) -> dict[str, Any]:
+    """``built_from`` less ``output_dir`` (its config line and the hash over it): where a bundle is, not what it is."""
+    lines = str(built_from.get("config_text")).splitlines()
+    return {**built_from, "config_hash": None, "config_text": [x for x in lines if not x.startswith("output_dir = ")]}
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> None:
@@ -581,22 +596,23 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
     if name not in _STAGES:
         raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
     cfg.validate()
-    bundle = _Bundle(Path(cfg.output_dir), keep=False)
-    manifest, built_from = bundle.root / MANIFEST_FILE, _built_from(cfg)
-    if name == "ingest":
-        _refuse_foreign(bundle.root, name)
-        write_json(bundle.file(MANIFEST_FILE), {**built_from, "stages": []})
-    elif manifest.is_file():
-        try:
-            found = read_json(manifest)
-        except ValueError:
-            found = {}  # an unreadable manifest describes no build
-        if any(found.get(key) != value for key, value in built_from.items()):
-            raise StageError(name, f"{manifest} is not from this config and these inputs; run the ingest stage first")
-        bundle.stages = found.get("stages", [])
-    _call(name, cfg, bundle)
-    if name != "report":  # report writes the whole manifest
-        write_json(manifest, {**built_from, "stages": [s for s in STAGE_ORDER if s in bundle.stages or s == name]})
+    with _failing_as(name):
+        bundle = _Bundle(Path(cfg.output_dir), cfg)
+        manifest = bundle.root / MANIFEST_FILE
+        if name == "ingest":
+            _refuse_foreign(bundle.root, name)
+            write_json(bundle.file(MANIFEST_FILE), {**bundle.built_from, "stages": []})
+        elif manifest.is_file():
+            try:
+                found = _location_free(read_json(manifest))
+            except ValueError:
+                found = {}  # an unreadable manifest describes no build
+            if any(found.get(key) != value for key, value in _location_free(bundle.built_from).items()):
+                raise ValueError(f"{manifest} is not from this config and these inputs; run the ingest stage first")
+            bundle.stages = found.get("stages", [])
+        bundle.step(name)
+        if name != "report":  # report writes the whole manifest
+            write_json(manifest, {**bundle.built_from, "stages": [s for s in STAGE_ORDER if s in bundle.stages]})
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -610,23 +626,22 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """
     cfg.validate()
     out_dir = Path(cfg.output_dir)
-    _refuse_foreign(out_dir, "run")
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
-    try:
-        built, aside = work / "new", work / "old"
-        bundle = _Bundle(built, keep=True)
-        for name in _STAGES:
-            _call(name, cfg, bundle)
-            bundle.forget(name)
-        if out_dir.exists():
-            out_dir.rename(aside)
-        try:
-            built.rename(out_dir)
-        except OSError:
-            if aside.exists():
-                aside.rename(out_dir)
-            raise
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    with _failing_as("run"):
+        _refuse_foreign(out_dir, "run")
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(
+            prefix=f".{out_dir.name}-", dir=out_dir.parent, ignore_cleanup_errors=True
+        ) as tmp:
+            built, aside = Path(tmp) / "new", Path(tmp) / "old"
+            bundle = _Bundle(built, cfg)
+            for name in STAGE_ORDER:
+                bundle.step(name)
+            if out_dir.exists():
+                out_dir.rename(aside)
+            try:
+                built.rename(out_dir)
+            except OSError:
+                if aside.exists():
+                    aside.rename(out_dir)
+                raise
     return out_dir

@@ -141,17 +141,15 @@ def write_stance_csv(table: StanceTable, path: str | Path) -> None:
     write_csv(path, _STANCE_COLUMNS, ((u, r.polarity, r.stance.value, r.hashtag_count) for u, r in rows))
 
 
+def _stance_row(row: list[str]) -> StanceRow:
+    user_id, raw_pol, raw_stance, raw_count = row[:4]
+    return StanceRow(
+        user_id=user_id,
+        polarity=None if raw_pol == "" else float(raw_pol),
+        stance=Stance(raw_stance),
+        hashtag_count=int(raw_count),
+    )
+
+
 def read_stance_csv(path: str | Path) -> StanceTable:
-    rows: dict[str, StanceRow] = {}
-    for line_no, row in read_csv(path, _STANCE_COLUMNS):
-        user_id, raw_pol, raw_stance, raw_count = row[:4]
-        try:
-            rows[user_id] = StanceRow(
-                user_id=user_id,
-                polarity=None if raw_pol == "" else float(raw_pol),
-                stance=Stance(raw_stance),
-                hashtag_count=int(raw_count),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return StanceTable(rows=rows)
+    return StanceTable(rows={row.user_id: row for row in read_csv(path, _STANCE_COLUMNS, _stance_row)})

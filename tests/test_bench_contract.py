@@ -43,8 +43,13 @@ def test_patched_lda_fit_is_the_one_run_pipeline_calls(worker, tmp_path, monkeyp
 def test_patched_stage_is_the_one_run_pipeline_and_run_stage_call(tmp_path, monkeypatch):
     calls = []
     text = pipeline._STAGES["text"]
-    monkeypatch.setitem(pipeline._STAGES, "text", lambda cfg, bundle: calls.append(bundle.keep) or text(cfg, bundle))
+
+    def in_place(cfg, bundle):
+        calls.append(bundle.root == cfg.output_dir)
+        text(cfg, bundle)
+
+    monkeypatch.setitem(pipeline._STAGES, "text", in_place)
     cfg = pipeline.PipelineConfig.from_file(write_demo_config(tmp_path / "inputs", output_dir=tmp_path / "out"))
     pipeline.run_pipeline(cfg)
     pipeline.run_stage("text", cfg)
-    assert calls == [True, False]  # once from run_pipeline, once from run_stage
+    assert calls == [False, True]  # once from run_pipeline, once from run_stage

@@ -7,7 +7,7 @@ from stancelab import fileio
 from stancelab.annotations import load_account_types, load_bot_scores
 from stancelab.corpus import load_corpus
 from stancelab.demo import write_demo_config
-from stancelab.fileio import jsonl_line, read_csv, read_json, write_csv, write_json, write_jsonl, write_text
+from stancelab.fileio import jsonl_line, parse_field, read_csv, read_json, write_csv, write_json, write_jsonl, write_text
 from stancelab.hashtag_graph import SeedSpec
 from stancelab.pipeline import PipelineConfig
 from stancelab.textlab import load_stopwords
@@ -31,40 +31,61 @@ def test_csv_roundtrip_with_quoting(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(path, ("name", "value"), [("a,b", 1), ('say "hi"', "")])
     assert path.read_bytes() == b'name,value\n"a,b",1\n"say ""hi""",\n'
-    assert list(read_csv(path, ("name", "value"))) == [(2, ["a,b", "1"]), (3, ['say "hi"', ""])]
+    assert list(read_csv(path, ("name", "value"), list)) == [["a,b", "1"], ['say "hi"', ""]]
+
+
+def _failing_at(name):
+    """A row conversion that fails on the row whose first column is ``name``."""
+
+    def convert(row):
+        if row[0] == name:
+            raise ValueError(f"bad row {row!r}")
+        return row
+
+    return convert
 
 
 def test_header_is_trimmed_and_case_folded_and_blank_rows_skipped(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text(" Name ,VALUE,extra\n\nx,1\n ,\ny,2\n", encoding="utf-8")
-    assert list(read_csv(path, ("name", "value"))) == [(3, ["x", "1"]), (5, ["y", "2"])]
+    assert list(read_csv(path, ("name", "value"), list)) == [["x", "1"], ["y", "2"]]
+    with pytest.raises(ValueError, match=r"x\.csv: line 5: bad row \['y', '2'\]"):
+        list(read_csv(path, ("name", "value"), _failing_at("y")))
+
+
+def test_a_bad_value_names_the_file_and_line(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("name,value\nx,1\ny,maybe\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"x\.csv: line 3: bad value 'maybe'$"):
+        list(read_csv(path, ("name", "value"), lambda row: parse_field(int, row[1], "value")))
 
 
 def test_empty_file_with_required_header_raises(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match=r"x\.csv: expected header 'name,value'"):
-        list(read_csv(path, ("name", "value")))
+        list(read_csv(path, ("name", "value"), list))
 
 
 def test_optional_header_absent_yields_line_1(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("x,1\ny,2\n", encoding="utf-8")
-    rows = list(read_csv(path, ("name", "value"), header_optional=True))
-    assert rows == [(1, ["x", "1"]), (2, ["y", "2"])]
+    assert list(read_csv(path, ("name", "value"), list, header_optional=True)) == [["x", "1"], ["y", "2"]]
+    with pytest.raises(ValueError, match=r"x\.csv: line 1: bad row"):
+        list(read_csv(path, ("name", "value"), _failing_at("x"), header_optional=True))
 
 
 def test_empty_file_with_optional_header_yields_nothing(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("", encoding="utf-8")
-    assert list(read_csv(path, ("name", "value"), header_optional=True)) == []
+    assert list(read_csv(path, ("name", "value"), list, header_optional=True)) == []
 
 
 def test_short_row_names_the_file_and_line(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("name,value\nx,1\n\ny\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"x\.csv: line 4: expected 'name,value'"):
-        list(read_csv(path, ("name", "value")))
+        list(read_csv(path, ("name", "value"), list))
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def worked_example_graph():
     g = HashtagGraph()
     g.add_edge("h3", "h1", 2)
     g.add_edge("h3", "h2", 1)
-    seeded, missing = seed_labels(g, SeedSpec.from_pairs([("h1", 1), ("h2", -1)]))
+    seeded, missing = seed_labels(g, SeedSpec((("h1", 1), ("h2", -1))))
     assert missing == []
     return seeded
 
@@ -104,25 +105,25 @@ class TestSeeds:
     def test_seed_present_node(self):
         g = HashtagGraph()
         g.add_edge("climatehoax", "other", 1)
-        seeded, missing = seed_labels(g, SeedSpec.from_pairs([("climatehoax", -1)]))
+        seeded, missing = seed_labels(g, SeedSpec((("climatehoax", -1),)))
         assert seeded.labels == {"climatehoax": -1.0}
         assert missing == []
 
     def test_seed_missing_node_reported(self):
         g = HashtagGraph()
         g.add_node("present")
-        seeded, missing = seed_labels(g, SeedSpec.from_pairs([("missing", 1)]))
+        seeded, missing = seed_labels(g, SeedSpec((("missing", 1),)))
         assert seeded.labels == {}
         assert seeded.adj == g.adj
         assert missing == ["missing"]
 
     def test_contradictory_seed_rejected(self):
         with pytest.raises(ValueError, match="contradictory"):
-            SeedSpec.from_pairs([("x", 1), ("x", -1)])
+            SeedSpec((("x", 1), ("x", -1)))
 
     def test_label_values_restricted(self):
         with pytest.raises(ValueError):
-            SeedSpec.from_pairs([("x", 2)])
+            SeedSpec((("x", 2),))
 
     def test_from_csv(self, tmp_path):
         path = tmp_path / "seeds.csv"
@@ -134,6 +135,21 @@ class TestSeeds:
         path = tmp_path / "seeds.csv"
         path.write_text("tag,value\nx,1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            SeedSpec.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("x,5\n", "line 2: seed label for 'x' must be -1 or +1, got 5"),
+            ("x,1\n#,1\n", "line 3: empty seed hashtag from '#'"),
+            ("x,1\ny,-1\n#X,-1\n", "line 4: contradictory seed labels for 'x'"),
+        ],
+        ids=["label", "empty", "contradictory"],
+    )
+    def test_from_csv_bad_seed_names_the_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "seeds.csv"
+        path.write_text("hashtag,label\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             SeedSpec.from_csv(path)
 
     def test_from_csv_bad_label(self, tmp_path):
@@ -162,7 +178,7 @@ class TestPropagation:
         g = HashtagGraph()
         g.add_edge("h1", "h3", 1)
         g.add_edge("h3", "h4", 1)
-        seeded, _ = seed_labels(g, SeedSpec.from_pairs([("h1", 1)]))
+        seeded, _ = seed_labels(g, SeedSpec((("h1", 1),)))
         first = propagate_labels(seeded, PropagationConfig(gamma=1, max_passes=1))
         assert first == {"h1": 1.0}
         second = propagate_labels(seeded, PropagationConfig(gamma=1, max_passes=2))
@@ -173,7 +189,7 @@ class TestPropagation:
         g = HashtagGraph()
         g.add_edge("h1", "h3", 1)
         g.add_edge("h3", "h4", 1)
-        seeded, _ = seed_labels(g, SeedSpec.from_pairs([("h1", 1)]))
+        seeded, _ = seed_labels(g, SeedSpec((("h1", 1),)))
         assert propagate_labels(seeded, PropagationConfig(gamma=100)) == {"h1": 1.0}
 
     def test_zero_seeds_rejected(self):
@@ -197,7 +213,7 @@ class TestPropagation:
         g.add_edge("h3", "h2", 1)
         g.add_node("far")
         g.add_edge("h2", "far", 1)
-        seeded, _ = seed_labels(g, SeedSpec.from_pairs([("h1", 1)]))
+        seeded, _ = seed_labels(g, SeedSpec((("h1", 1),)))
         strict = propagate_labels(seeded, PropagationConfig(gamma=1))
         relaxed = propagate_labels(seeded, PropagationConfig(gamma=1, unlabeled_as_zero=True))
         assert strict["h3"] == 1.0

@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery_knob"):
             PipelineConfig.from_text(text)
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match="config key 'gamma' is set twice, on lines 2 and 4"):
+            PipelineConfig.from_text("# knobs\ngamma = 1\n\ngamma = 5\n")
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="corpus_path"):
             PipelineConfig.from_text("output_dir = /tmp/x\n")
@@ -229,6 +233,10 @@ def _flip_presence_weighting(cfg):
     return replace(cfg, presence_weighting=not cfg.presence_weighting)
 
 
+def _raise_gamma(cfg):
+    return replace(cfg, gamma=cfg.gamma + 1)
+
+
 def _flip_seed_labels(cfg):
     header, *rows = cfg.seed_file.read_text(encoding="utf-8").splitlines()
     flipped = [f"{tag},{-float(label):g}" for tag, label in (row.split(",") for row in rows)]
@@ -240,7 +248,7 @@ class TestProvenance:
     """Under ``run_stage``, the manifest says what the bundle is built from and
     which stages have run for it; a stage refuses to mix builds."""
 
-    @pytest.mark.parametrize("change", [_flip_presence_weighting, _flip_seed_labels])
+    @pytest.mark.parametrize("change", [_flip_presence_weighting, _raise_gamma, _flip_seed_labels])
     def test_classify_refuses_another_config_or_other_inputs(self, demo_cfg, change):
         _, cfg = demo_cfg
         out = run_pipeline(cfg)
@@ -249,6 +257,17 @@ class TestProvenance:
             run_stage("classify", change(cfg))
         assert info.value.stage == "classify"
         assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_another_name_for_the_directory_is_the_same_bundle(self, demo_cfg, tmp_path, monkeypatch):
+        """The manifest check ignores ``output_dir``: a path through ``..`` and a moved bundle both pass."""
+        cfg_path, cfg = demo_cfg
+        built = digest_tree(run_pipeline(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["hashtags", "--config", str(cfg_path), "--output-dir", f"../{tmp_path.name}/out"]) == 0
+        (tmp_path / "out").rename(tmp_path / "moved")
+        for stage in ("hashtags", "report"):
+            assert main([stage, "--config", str(cfg_path), "--output-dir", "moved"]) == 0
+        assert digest_tree(tmp_path / "moved") == built
 
     def test_ingest_under_another_config_starts_a_new_build(self, demo_cfg):
         _, cfg = demo_cfg
@@ -295,6 +314,24 @@ class TestProvenance:
         with pytest.raises(StageError, match="run the ingest stage first"):
             run_stage("hashtags", cfg)
 
+    @pytest.mark.parametrize(
+        "broken, stage",
+        [("_file_sha256", "run"), ("_file_sha256", "ingest"), ("read_json", "hashtags"), ("write_json", "hashtags")],
+    )
+    def test_a_failure_outside_the_stage_function_names_the_stage(self, demo_cfg, monkeypatch, broken, stage):
+        """Hashing the inputs and reading or writing the manifest fail as the stage, or as ``run``."""
+        _, cfg = demo_cfg
+        run_stage("ingest", cfg)
+        run_stage("hashtags", cfg)
+
+        def failing(*args):
+            raise PermissionError("permission denied")
+
+        monkeypatch.setattr(pipeline, broken, failing)
+        with pytest.raises(StageError, match="permission denied") as info:
+            run_pipeline(cfg) if stage == "run" else run_stage(stage, cfg)
+        assert info.value.stage == stage
+
     def test_ingest_refuses_a_directory_without_manifest(self, demo_cfg, tmp_path):
         _, cfg = demo_cfg
         unrelated = tmp_path / "precious"
@@ -325,6 +362,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("stage classify failed")
         assert "ingest" in err
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_unusable_output_dir_exits_1_with_stage(self, demo_cfg, tmp_path, capsys, command):
+        cfg_path, _ = demo_cfg
+        (tmp_path / "afile").touch()
+        assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path / "afile" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage {command} failed:")
+        assert "Traceback" not in err
 
     def test_staged_subcommands_match_run(self, demo_cfg, tmp_path, capsys):
         cfg_path, cfg = demo_cfg

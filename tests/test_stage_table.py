@@ -2,7 +2,9 @@
 bundle file list, each intermediate's producer and last reader, the values
 ``run_pipeline`` keeps between stages, and the stage list in the README."""
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,9 +38,9 @@ def test_producers_and_last_readers_equal_the_hand_table():
 
 
 @pytest.mark.parametrize("name", sorted(oracle_producers()))
-def test_missing_intermediate_names_its_producer(name, tmp_path):
+def test_missing_intermediate_names_its_producer(name, demo_cfg):
     with pytest.raises(StageError, match=f"run the {oracle_producers()[name]} stage first"):
-        pipeline._Bundle(tmp_path, keep=False).get(name)
+        pipeline._Bundle(demo_cfg.output_dir, demo_cfg).get(name)
 
 
 def test_each_stage_does_what_it_declares(demo_cfg, monkeypatch):
@@ -64,14 +66,20 @@ def test_each_stage_does_what_it_declares(demo_cfg, monkeypatch):
 
 def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch):
     kept, held = {}, set()
-    forget = pipeline._Bundle.forget
+    for name, run in list(pipeline._STAGES.items()):
+
+        def recorded(cfg, bundle, run=run):
+            run(cfg, bundle)
+            held.update(bundle._held)  # everything held once the stage has run, before its step drops anything
+
+        monkeypatch.setitem(pipeline._STAGES, name, recorded)
+    step = pipeline._Bundle.step
 
     def recording(self, stage):
-        held.update(self._kept)  # everything held while the stage ran
-        forget(self, stage)
-        kept[stage] = set(self._kept)
+        step(self, stage)
+        kept[stage] = set(self._held)
 
-    monkeypatch.setattr(pipeline._Bundle, "forget", recording)
+    monkeypatch.setattr(pipeline._Bundle, "step", recording)
     run_pipeline(demo_cfg)
     assert "reply" not in held
     read_networks = {"retweet", "mention", "all_communication", "reciprocal"}  # not reply: no stage reads it
@@ -86,6 +94,28 @@ def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch):
         "annotations": set(),
         "report": set(),
     }
+
+
+def test_run_stage_holds_nothing_after_it_returns(demo_cfg, monkeypatch):
+    """``run_stage`` keeps neither its bundle nor a value it put alive once it returns."""
+    alive = []
+    init, put = pipeline._Bundle.__init__, pipeline._Bundle.put
+
+    def recording_init(self, *args):
+        init(self, *args)
+        alive.append(weakref.ref(self))
+
+    def recording_put(self, name, value):
+        put(self, name, value)
+        if name != "labels":  # a dict, which takes no weak reference
+            alive.append(weakref.ref(value))
+
+    monkeypatch.setattr(pipeline._Bundle, "__init__", recording_init)
+    monkeypatch.setattr(pipeline._Bundle, "put", recording_put)
+    for stage in STAGE_ORDER:
+        run_stage(stage, demo_cfg)
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == [], stage
 
 
 def test_readme_stage_list_is_the_stage_order():
