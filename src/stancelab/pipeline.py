@@ -10,9 +10,12 @@ file list are all read off the table.
 Each stage runs as one ``_Bundle.step``, which records it in ``stages``.
 ``run_pipeline`` steps through every stage on one bundle in a temporary
 sibling directory, so each value is handed on in memory, and renames it into
-place once every stage has succeeded.  ``run_stage`` takes one step against
-``output_dir``, so ``get`` reads the files earlier steps wrote.  Both write
-the same bytes.  The manifest records what the bundle is built from
+place once every stage has succeeded.  After ``classify`` it forks: a child
+steps the stages marked ``forked`` (``networks``, ``metrics``) while the
+parent steps ``text`` and ``annotations``; the parent reaps the child, adds
+the stages the child recorded and runs ``report``.  ``run_stage`` takes one
+step against ``output_dir``, so ``get`` reads the files earlier steps wrote.
+Both write the same bytes.  The manifest records what the bundle is built from
 (``_built_from``) and the ``stages`` run since ``ingest``; ``run_stage``
 refuses other inputs or another config, but not another name for the directory.
 
@@ -23,7 +26,11 @@ table, with an ``_INTERMEDIATES`` entry for each new value it puts.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
+import os
+import signal
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -534,9 +541,12 @@ class _Stage:
     reads: tuple[str, ...] = ()
     puts: tuple[str, ...] = ()
     files: Callable[[PipelineConfig], list[str]] = lambda cfg: []  # other bundle files; the manifest is not one
+    forked: bool = False  # under run_pipeline, stepped in the forked child
 
 
 # The stages in run order.  A stage gets only what it reads, puts only what it puts.
+# A forked stage reads only what the stages before the first forked one, or
+# earlier forked stages, put; and only forked stages read what it puts.
 _STAGE_TABLE: dict[str, _Stage] = {
     "ingest": _Stage(stage_ingest, puts=("corpus",)),
     "hashtags": _Stage(stage_hashtags, ("corpus",), ("hashtag_graph",)),
@@ -547,12 +557,14 @@ _STAGE_TABLE: dict[str, _Stage] = {
         ("corpus", "stance"),
         _NETWORK_NAMES,
         lambda cfg: [_export_path(name, fmt) for name in _NETWORK_NAMES for fmt in cfg.export_formats],
+        forked=True,
     ),
     "metrics": _Stage(
         stage_metrics,
         ("stance", "all_communication", "mention", "retweet", "reciprocal"),
         (),
         lambda cfg: _by_group(METRICS_FILE, INFLUENCER_SUMMARY_FILE, "super_spreaders_{}.csv", "super_friends_{}.csv"),
+        forked=True,
     ),
     "text": _Stage(
         stage_text,
@@ -569,6 +581,7 @@ _STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {name: s.run for
 STAGE_ORDER = tuple(_STAGE_TABLE)
 _PRODUCER = {item: name for name, s in _STAGE_TABLE.items() for item in s.puts}
 _LAST_READER = {item: name for name, s in _STAGE_TABLE.items() for item in s.reads}  # a later reader overwrites
+_CHILD_LANE = tuple(name for name, s in _STAGE_TABLE.items() if s.forked)
 
 
 def bundle_files(cfg: PipelineConfig) -> dict[str, str]:
@@ -604,9 +617,11 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             write_json(bundle.file(MANIFEST_FILE), {**bundle.built_from, "stages": []})
         elif manifest.is_file():
             try:
-                found = _location_free(read_json(manifest))
+                found = read_json(manifest)
             except ValueError:
-                found = {}  # an unreadable manifest describes no build
+                found = None
+            # A manifest that is unreadable, or not an object, describes no build.
+            found = _location_free(found if isinstance(found, dict) else {})
             if any(found.get(key) != value for key, value in _location_free(bundle.built_from).items()):
                 raise ValueError(f"{manifest} is not from this config and these inputs; run the ingest stage first")
             bundle.stages = found.get("stages", [])
@@ -615,8 +630,65 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             write_json(manifest, {**bundle.built_from, "stages": [s for s in STAGE_ORDER if s in bundle.stages]})
 
 
+def _step_beside_child(bundle: _Bundle, forked: tuple[str, ...], own: list[str]) -> None:
+    """Step ``forked`` on ``bundle`` in a forked child while this process steps ``own``.
+
+    The child sends a JSON line ``[stage, error]`` down a pipe for each stage
+    it records (``error`` null) or fails, and always leaves by ``os._exit``.
+    The child is reaped even if ``own`` fails, and the stages it recorded
+    join ``bundle.stages``.  Of two failures, the stage earlier in
+    ``STAGE_ORDER`` is raised.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()  # else the child would print what is still buffered a second time
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as sink:
+        pid = os.fork()
+        if pid == 0:
+            exit_code = 1
+            try:
+                for name in forked:
+                    bundle.step(name)
+                    sink.write(json.dumps([name, None]).encode() + b"\n")
+                exit_code = 0
+            except StageError as exc:
+                sink.write(json.dumps([exc.stage, str(exc)]).encode() + b"\n")
+            finally:
+                try:
+                    sys.stderr.flush()
+                finally:
+                    os._exit(exit_code)  # never return into the caller's code in the child
+        sink.close()  # so that reading the pipe ends when the child does
+        failures = []
+        try:
+            for name in own:
+                bundle.step(name)
+        except StageError as exc:
+            failures.append(exc)
+        finally:
+            lines = pipe.read().split(b"\n")[:-1]  # drops a line cut off by the child's death
+            _, status = os.waitpid(pid, 0)
+    reported = dict(json.loads(line) for line in lines)  # stage -> its error, or None once recorded
+    recorded = [name for name, error in reported.items() if error is None]
+    bundle.stages += recorded
+    if len(recorded) < len(forked) or status:
+        stage = forked[min(len(recorded), len(forked) - 1)]
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        failures.append(StageError(stage, reported.get(stage) or f"the forked process running it {how}"))
+    if failures:
+        raise min(failures, key=lambda exc: STAGE_ORDER.index(exc.stage))
+
+
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Run every stage and move the finished bundle into ``cfg.output_dir``.
+
+    The stages before the forked ones run here; then a forked child (POSIX
+    ``os.fork``) steps the forked stages while this process steps the others
+    up to ``report``, and ``report`` runs once the child is reaped.  Each
+    bundle file has one writer, so the bytes are those of a run in order.
+    The fork copies only the calling thread, so call this from a process
+    that runs no other threads.
 
     The bundle is built in a temporary sibling directory, so a failing stage
     leaves ``output_dir`` as it was.  An existing ``output_dir`` is renamed
@@ -634,8 +706,11 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         ) as tmp:
             built, aside = Path(tmp) / "new", Path(tmp) / "old"
             bundle = _Bundle(built, cfg)
-            for name in STAGE_ORDER:
+            fork = STAGE_ORDER.index(_CHILD_LANE[0])
+            for name in STAGE_ORDER[:fork]:
                 bundle.step(name)
+            _step_beside_child(bundle, _CHILD_LANE, [s for s in STAGE_ORDER[fork:-1] if s not in _CHILD_LANE])
+            bundle.step(STAGE_ORDER[-1])
             if out_dir.exists():
                 out_dir.rename(aside)
             try:

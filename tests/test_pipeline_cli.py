@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import signal
 import string
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,6 +24,8 @@ from stancelab.pipeline import (
     run_pipeline,
     run_stage,
 )
+
+from util import append_record, read_records
 
 
 @pytest.fixture()
@@ -303,14 +307,15 @@ class TestProvenance:
             run_stage("metrics", cfg)
         assert info.value.stage == "metrics"
 
-    @pytest.mark.parametrize("damage", ["drop stages", "truncate"])
+    @pytest.mark.parametrize("damage", ["drop stages", "truncate", "not an object"])
     def test_old_or_unreadable_manifest_names_ingest(self, demo_cfg, damage):
         _, cfg = demo_cfg
         path = run_pipeline(cfg) / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         del manifest["stages"]  # as written before the manifest listed them
         text = json.dumps(manifest)
-        path.write_text(text if damage == "drop stages" else text[: len(text) // 2], encoding="utf-8")
+        damaged = {"drop stages": text, "truncate": text[: len(text) // 2], "not an object": "[]"}[damage]
+        path.write_text(damaged, encoding="utf-8")
         with pytest.raises(StageError, match="run the ingest stage first"):
             run_stage("hashtags", cfg)
 
@@ -477,19 +482,22 @@ class TestFlags:
 
 
 class TestInMemoryRun:
-    def test_run_parses_the_corpus_once_and_reads_no_network(self, demo_cfg, monkeypatch):
+    def test_run_parses_the_corpus_once_and_reads_no_network(self, demo_cfg, monkeypatch, tmp_path):
+        """Calls are recorded through a file, so those made in the forked child count too."""
         _, cfg = demo_cfg
-        calls = {"load_corpus": 0, "read_network_json": 0}
-        for name in calls:
+        log = tmp_path / "calls.jsonl"
+        counted_names = ("load_corpus", "read_network_json")
+        for name in counted_names:
             original = getattr(pipeline, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                append_record(log, _name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counted)
         run_pipeline(cfg)
-        assert calls == {"load_corpus": 1, "read_network_json": 0}
+        calls = read_records(log)
+        assert {name: calls.count(name) for name in counted_names} == {"load_corpus": 1, "read_network_json": 0}
 
     def test_rerun_with_fewer_exports_leaves_only_manifest_files(self, demo_cfg):
         _, cfg = demo_cfg
@@ -516,3 +524,87 @@ class TestInMemoryRun:
         write_demo_config("demo_data")
         assert main(["run", "--config", "demo_data/config.cfg"]) == 0
         assert (tmp_path / "demo_data" / "report" / "manifest.json").is_file()
+
+
+class TestForkedStages:
+    """``run_pipeline`` steps the forked stages in a child process: a failure
+    on either side names its stage, leaves ``output_dir`` and no temporary
+    sibling behind, and the child is always reaped."""
+
+    @pytest.fixture()
+    def built(self, demo_cfg):
+        _, cfg = demo_cfg
+        out = run_pipeline(cfg)
+        return cfg, digest_tree(out, skip_manifest=False)
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail instead of hanging if the join never returns."""
+
+        def expired(signum, frame):
+            raise TimeoutError("run_pipeline did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def fail_in(monkeypatch, stage, action=None):
+        def failing(cfg, bundle):
+            if action is not None:
+                action()
+            raise OSError(f"{stage} broke")
+
+        monkeypatch.setitem(pipeline._STAGES, stage, failing)
+
+    @staticmethod
+    def assert_left_as_built(cfg, digests):
+        out = cfg.output_dir
+        assert digest_tree(out, skip_manifest=False) == digests
+        assert not list(out.parent.glob(f".{out.name}-*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("stage", pipeline._CHILD_LANE)
+    def test_a_failing_forked_stage_is_named(self, built, monkeypatch, stage):
+        cfg, digests = built
+        self.fail_in(monkeypatch, stage)
+        with pytest.raises(StageError, match=f"{stage} broke") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+        self.assert_left_as_built(cfg, digests)
+
+    @pytest.mark.parametrize("stage", pipeline._CHILD_LANE)
+    def test_a_killed_child_is_named_by_its_stage(self, built, monkeypatch, stage):
+        cfg, digests = built
+        test_process = os.getpid()
+
+        def kill_self():
+            assert os.getpid() != test_process  # never kill the test run itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.fail_in(monkeypatch, stage, kill_self)
+        with pytest.raises(StageError, match="killed by SIGKILL") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == stage
+        self.assert_left_as_built(cfg, digests)
+
+    def test_a_failure_beside_the_child_reaps_it(self, built, monkeypatch):
+        cfg, digests = built
+        self.fail_in(monkeypatch, "text")
+        with pytest.raises(StageError, match="text broke") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "text"
+        self.assert_left_as_built(cfg, digests)
+
+    def test_of_two_failures_the_earlier_stage_is_named(self, built, monkeypatch):
+        cfg, digests = built
+        self.fail_in(monkeypatch, "text")
+        self.fail_in(monkeypatch, "metrics")
+        earlier = min(("text", "metrics"), key=STAGE_ORDER.index)
+        with pytest.raises(StageError, match=f"{earlier} broke") as info:
+            run_pipeline(cfg)
+        assert info.value.stage == earlier
+        self.assert_left_as_built(cfg, digests)

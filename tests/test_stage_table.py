@@ -1,8 +1,10 @@
 """The stage table in stancelab.pipeline and what is derived from it: the
-bundle file list, each intermediate's producer and last reader, the values
-``run_pipeline`` keeps between stages, and the stage list in the README."""
+bundle file list, each intermediate's producer and last reader, the stages
+``run_pipeline`` steps in its forked child, the values it keeps between
+stages, and the stage list in the README."""
 
 import gc
+import os
 import re
 import weakref
 from pathlib import Path
@@ -14,7 +16,7 @@ import stancelab.pipeline as pipeline
 from stancelab.demo import write_demo_config
 from stancelab.pipeline import STAGE_ORDER, PipelineConfig, StageError, bundle_files, run_pipeline, run_stage
 
-from util import oracle_bundle_files, oracle_last_readers, oracle_producers
+from util import append_record, oracle_bundle_files, oracle_last_readers, oracle_producers, read_records
 
 
 @pytest.fixture()
@@ -64,23 +66,26 @@ def test_each_stage_does_what_it_declares(demo_cfg, monkeypatch):
         assert seen[stage] == (set(entry.reads), set(entry.puts)), stage
 
 
-def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch):
-    kept, held = {}, set()
+def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch, tmp_path):
+    """Recorded through files, so the stages stepped in the forked child count too."""
+    held_log, kept_log = tmp_path / "held.jsonl", tmp_path / "kept.jsonl"
     for name, run in list(pipeline._STAGES.items()):
 
         def recorded(cfg, bundle, run=run):
             run(cfg, bundle)
-            held.update(bundle._held)  # everything held once the stage has run, before its step drops anything
+            append_record(held_log, sorted(bundle._held))  # all held once the stage has run, before its step drops any
 
         monkeypatch.setitem(pipeline._STAGES, name, recorded)
     step = pipeline._Bundle.step
 
     def recording(self, stage):
         step(self, stage)
-        kept[stage] = set(self._held)
+        append_record(kept_log, [stage, sorted(self._held)])
 
     monkeypatch.setattr(pipeline._Bundle, "step", recording)
     run_pipeline(demo_cfg)
+    held = set().union(*read_records(held_log))
+    kept = {stage: set(values) for stage, values in read_records(kept_log)}
     assert "reply" not in held
     read_networks = {"retweet", "mention", "all_communication", "reciprocal"}  # not reply: no stage reads it
     assert kept == {
@@ -94,6 +99,40 @@ def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch):
         "annotations": set(),
         "report": set(),
     }
+
+
+def test_the_forked_stages_and_the_others_need_no_value_from_each_other():
+    """Read off the table: the forked stages read only what is put before them
+    or by an earlier forked stage, and only forked stages read what they put."""
+    table, forked = pipeline._STAGE_TABLE, pipeline._CHILD_LANE
+    assert forked == ("networks", "metrics")
+    fork = STAGE_ORDER.index(forked[0])
+    available = {item for stage in STAGE_ORDER[:fork] for item in table[stage].puts}
+    for stage in forked:
+        assert set(table[stage].reads) <= available, stage
+        available |= set(table[stage].puts)
+    put_by_forked = {item for stage in forked for item in table[stage].puts}
+    assert {stage for stage, entry in table.items() if put_by_forked & set(entry.reads)} <= set(forked)
+    beside = [stage for stage in STAGE_ORDER[fork:-1] if stage not in forked]
+    assert beside == ["text", "annotations"]
+    assert not {item for stage in beside for item in table[stage].puts} & {r for s in forked for r in table[s].reads}
+
+
+def test_run_steps_the_forked_stages_in_one_child(demo_cfg, monkeypatch, tmp_path):
+    log = tmp_path / "pids.jsonl"
+    for name, run in list(pipeline._STAGES.items()):
+
+        def recorded(cfg, bundle, run=run, name=name):
+            append_record(log, [name, os.getpid()])
+            run(cfg, bundle)
+
+        monkeypatch.setitem(pipeline._STAGES, name, recorded)
+    run_pipeline(demo_cfg)
+    pids = dict(read_records(log))
+    assert set(pids) == set(STAGE_ORDER)
+    child = {pids[stage] for stage in pipeline._CHILD_LANE}
+    assert len(child) == 1 and os.getpid() not in child
+    assert {pid for stage, pid in pids.items() if stage not in pipeline._CHILD_LANE} == {os.getpid()}
 
 
 def test_run_stage_holds_nothing_after_it_returns(demo_cfg, monkeypatch):

@@ -2,7 +2,9 @@
 
 The oracles deliberately use different machinery than the implementations
 they check (pair enumeration instead of edge-set lookups, dense
-eigendecomposition instead of power iteration).
+eigendecomposition instead of power iteration).  ``append_record`` and
+``read_records`` let a test see what stages record in ``run_pipeline``'s
+forked child.
 """
 
 from __future__ import annotations
@@ -18,6 +20,19 @@ from stancelab.commnet import CommNetwork, NetworkKind
 from stancelab.corpus import Corpus, CorpusFormatError, TweetRecord, normalize_hashtag
 from stancelab.hashtag_graph import HashtagGraph, PropagationConfig
 from stancelab.stance import Stance
+
+
+def append_record(path, value) -> None:
+    """Append ``value`` to ``path`` as one JSON line.  The file is opened for
+    each record in append mode, so a record made in a forked child is kept."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(value) + "\n")
+
+
+def read_records(path) -> list:
+    """The values ``append_record`` appended to ``path``, in order."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def make_tweet(
