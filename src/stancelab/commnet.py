@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus, InteractionKind, extract_interactions
-from .fileio import read_json, write_csv, write_json, write_text
+from .fileio import json_block, read_json, write_csv, write_text
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -51,6 +52,7 @@ class NetworkKind(str, Enum):
 
 
 _BUILDABLE = {NetworkKind.RETWEET, NetworkKind.MENTION, NetworkKind.REPLY}
+_EDGE = json_block(("%s",) * 3, 2)  # one [a, b, w] of a cached network's "edges"
 
 
 @dataclass
@@ -257,17 +259,18 @@ def export_graph(net: CommNetwork, fmt: str, path: str | Path) -> None:
 
 def write_network_json(net: CommNetwork, path: str | Path) -> None:
     """The pipeline's cached network, full fidelity: it keeps the isolated
-    nodes, stance attributes and diagnostics that the edge CSV drops."""
-    write_json(
-        path,
-        {
-            "kind": net.kind.value,
-            "nodes": sorted(net.nodes),
-            "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
-            "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
-            "self_loop_count": net.self_loop_count,
-        },
+    nodes, stance attributes and diagnostics that the edge CSV drops.  The
+    bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...], "kind",
+    "node_attr", "nodes", "self_loop_count"}``, rendered item by item."""
+    q = encode_basestring_ascii
+    members = (
+        '"edges": ' + json_block([_EDGE % (q(a), q(b), int.__repr__(w)) for a, b, w in net.sorted_edges()], 1),
+        '"kind": ' + q(net.kind.value),
+        '"node_attr": ' + json_block([f"{q(n)}: {q(net.node_attr[n])}" for n in sorted(net.node_attr)], 1, "{}"),
+        '"nodes": ' + json_block(map(q, sorted(net.nodes)), 1),
+        '"self_loop_count": ' + int.__repr__(net.self_loop_count),
     )
+    write_text(path, json_block(members, 0, "{}") + "\n")
 
 
 def read_network_json(path: str | Path) -> CommNetwork:

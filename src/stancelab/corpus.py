@@ -12,9 +12,10 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 
-from .fileio import write_jsonl
+from .fileio import write_text
 
 __all__ = [
     "CorpusFormatError",
@@ -26,7 +27,6 @@ __all__ = [
     "extract_interactions",
     "load_corpus",
     "dump_corpus",
-    "record_to_dict",
 ]
 
 
@@ -147,27 +147,6 @@ class Corpus:
             if t.screen_name and t.user_id not in names:
                 names[t.user_id] = t.screen_name
         return names
-
-
-def record_to_dict(record: TweetRecord) -> dict:
-    """Canonical JSON object for one record; optional empties are omitted."""
-    obj: dict = {
-        "tweet_id": record.tweet_id,
-        "user_id": record.user_id,
-        "text": record.text,
-        "hashtags": list(record.hashtags),
-    }
-    if record.screen_name:
-        obj["screen_name"] = record.screen_name
-    if record.retweeted_user_id is not None:
-        obj["retweeted_user_id"] = record.retweeted_user_id
-    if record.in_reply_to_user_id is not None:
-        obj["in_reply_to_user_id"] = record.in_reply_to_user_id
-    if record.mentioned_user_ids:
-        obj["mentioned_user_ids"] = list(record.mentioned_user_ids)
-    if record.timestamp is not None:
-        obj["timestamp"] = record.timestamp.isoformat()
-    return obj
 
 
 class _TagCache(dict):
@@ -301,6 +280,25 @@ def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
     return Corpus(tweets=tweets, skipped_count=skipped, duplicate_count=duplicates)
 
 
+def _jsonl_record(t: TweetRecord) -> str:
+    """``t``'s canonical JSONL line: the fields in sorted key order, the
+    optional ones only when set, as ``jsonl_line`` writes the same object."""
+    q = encode_basestring
+    line = '{"hashtags": [' + ", ".join(map(q, t.hashtags)) + "]"
+    if t.in_reply_to_user_id is not None:
+        line += ', "in_reply_to_user_id": ' + q(t.in_reply_to_user_id)
+    if t.mentioned_user_ids:
+        line += ', "mentioned_user_ids": [' + ", ".join(map(q, t.mentioned_user_ids)) + "]"
+    if t.retweeted_user_id is not None:
+        line += ', "retweeted_user_id": ' + q(t.retweeted_user_id)
+    if t.screen_name:
+        line += ', "screen_name": ' + q(t.screen_name)
+    line += ', "text": ' + q(t.text)
+    if t.timestamp is not None:
+        line += ', "timestamp": ' + q(t.timestamp.isoformat())
+    return line + ', "tweet_id": ' + q(t.tweet_id) + ', "user_id": ' + q(t.user_id) + "}\n"
+
+
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write canonical JSONL; reloading yields an equal Corpus."""
-    write_jsonl(path, (record_to_dict(t) for t in corpus.tweets))
+    """Write canonical JSONL, line by line; reloading yields an equal Corpus."""
+    write_text(path, map(_jsonl_record, corpus.tweets))

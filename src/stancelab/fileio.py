@@ -20,7 +20,10 @@ Every writer writes a temporary sibling file and moves it into place with
 was (or no file) and never a truncated one.
 
 ``load_corpus`` decodes its JSONL line by line itself, because it skips or
-reports each bad line on its own.
+reports each bad line on its own.  The large files (the cached networks
+and hashtag graph, and ``corpus.jsonl``) are rendered by their writers from
+pre-encoded items, through ``json_block`` for the JSON layout, with the same
+bytes ``write_json`` and ``write_jsonl`` would write.
 """
 
 from __future__ import annotations
@@ -33,7 +36,17 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
-__all__ = ["write_json", "read_json", "jsonl_line", "write_jsonl", "write_csv", "read_csv", "parse_field", "write_text"]
+__all__ = [
+    "write_json",
+    "read_json",
+    "json_block",
+    "jsonl_line",
+    "write_jsonl",
+    "write_csv",
+    "read_csv",
+    "parse_field",
+    "write_text",
+]
 
 
 @contextmanager
@@ -51,15 +64,26 @@ def _replacing(path: str | Path, newline: str) -> Iterator[IO[str]]:
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable in turn without joining them."""
     with _replacing(path, "\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def write_json(path: str | Path, payload: Any) -> None:
     with _replacing(path, "\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """The ``write_json`` layout of an array (``"[]"``) or object (``"{}"``)
+    nested ``depth`` levels deep, from its already encoded members: values,
+    or ``"key": value`` items of an object in sorted key order."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}{outer}{brackets[1]}" if body else brackets
 
 
 def read_json(path: str | Path) -> Any:

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import Corpus, normalize_hashtag
-from .fileio import parse_field, read_csv, read_json, write_csv, write_json
+from .fileio import json_block, parse_field, read_csv, read_json, write_csv, write_text
 
 __all__ = [
     "HashtagGraph",
@@ -29,6 +30,8 @@ __all__ = [
     "read_graph_json",
     "write_graph_json",
 ]
+
+_EDGE = json_block(("%s",) * 3, 2)  # one [a, b, w] of the cached graph's "edges"
 
 
 @dataclass
@@ -76,7 +79,7 @@ class HashtagGraph:
             raise KeyError(node)
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"label for {node!r} out of [-1, 1]: {value}")
-        self.labels[node] = value
+        self.labels[node] = float(value)
 
     def copy(self) -> "HashtagGraph":
         return HashtagGraph(
@@ -281,15 +284,16 @@ def read_labels_csv(path: str | Path) -> dict[str, float]:
 
 
 def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:
-    """The pipeline's cached graph: sorted nodes, sorted edges and labels."""
-    write_json(
-        path,
-        {
-            "nodes": sorted(graph.adj),
-            "edges": [[a, b, w] for a, b, w in graph.edges()],
-            "labels": {n: graph.labels[n] for n in sorted(graph.labels)},
-        },
+    """The pipeline's cached graph: sorted nodes, sorted edges and labels.
+    The bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...],
+    "labels", "nodes"}``, rendered item by item."""
+    q = encode_basestring_ascii
+    members = (
+        '"edges": ' + json_block([_EDGE % (q(a), q(b), int.__repr__(w)) for a, b, w in graph.edges()], 1),
+        '"labels": ' + json_block([f"{q(n)}: {float.__repr__(graph.labels[n])}" for n in sorted(graph.labels)], 1, "{}"),
+        '"nodes": ' + json_block(map(q, sorted(graph.adj)), 1),
     )
+    write_text(path, json_block(members, 0, "{}") + "\n")
 
 
 def read_graph_json(path: str | Path) -> HashtagGraph:

@@ -620,11 +620,14 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
                 found = read_json(manifest)
             except ValueError:
                 found = None
-            # A manifest that is unreadable, or not an object, describes no build.
+            # A manifest that is unreadable, or not an object, describes no build;
+            # nor does a "stages" that is not a list of stage names.
             found = _location_free(found if isinstance(found, dict) else {})
             if any(found.get(key) != value for key, value in _location_free(bundle.built_from).items()):
                 raise ValueError(f"{manifest} is not from this config and these inputs; run the ingest stage first")
-            bundle.stages = found.get("stages", [])
+            stages = found.get("stages")
+            if isinstance(stages, list) and all(isinstance(s, str) and s in _STAGES for s in stages):
+                bundle.stages = stages
         bundle.step(name)
         if name != "report":  # report writes the whole manifest
             write_json(manifest, {**bundle.built_from, "stages": [s for s in STAGE_ORDER if s in bundle.stages]})

@@ -97,15 +97,22 @@ def tokenize(
     pool_by_user: bool = False,
 ) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     """The documents without hashtags and the documents with them, from one
-    pass per tweet: one TokenizedDoc per tweet in corpus order (empty docs
-    included; the LDA fit drops them).
+    pass per distinct text: one TokenizedDoc per tweet in corpus order (empty
+    docs included; the LDA fit drops them).  Each distinct text is tokenized
+    once, so a retweet, which copies its original's text, costs a lookup.
 
     ``pool_by_user`` concatenates each author's tweets into a single document
     (doc_id = user_id, first-author order), which helps topic models cope
     with very short messages.
     """
     tweets = corpus.tweets if isinstance(corpus, Corpus) else corpus
-    docs = [(t.user_id if pool_by_user else t.tweet_id, tokenize_text_both(t.text, stopwords)) for t in tweets]
+    views_of: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    docs = []
+    for t in tweets:
+        views = views_of.get(t.text)
+        if views is None:
+            views = views_of[t.text] = tokenize_text_both(t.text, stopwords)
+        docs.append((t.user_id if pool_by_user else t.tweet_id, views))
     if pool_by_user:
         pooled: dict[str, tuple[list[str], list[str]]] = {}
         for user_id, (words, tagged) in docs:

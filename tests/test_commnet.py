@@ -19,7 +19,15 @@ from stancelab.commnet import (
 )
 from stancelab.corpus import extract_interactions
 from stancelab.stance import Stance, StanceRow, StanceTable
-from util import make_corpus, make_tweet, oracle_gexf, random_corpus
+from util import (
+    ESCAPED_CHARS,
+    make_corpus,
+    make_tweet,
+    oracle_gexf,
+    oracle_json_bytes,
+    oracle_network_payload,
+    random_corpus,
+)
 
 
 def stance_table(**stances) -> StanceTable:
@@ -293,3 +301,22 @@ def test_network_json_roundtrip(tmp_path):
     loaded = read_network_json(tmp_path / "net.json")
     assert loaded == net
     assert loaded.self_loop_count == 3
+
+
+names = st.text(alphabet=st.sampled_from(ESCAPED_CHARS), max_size=3)
+
+
+@given(
+    st.sampled_from(NetworkKind),
+    st.sets(names, max_size=6),
+    st.dictionaries(st.tuples(names, names).filter(lambda p: p[0] != p[1]), st.integers(1, 2**40), max_size=8),
+    st.dictionaries(names, st.sampled_from([s.value for s in Stance]) | names, max_size=4),
+    st.integers(0, 2**40),
+)
+def test_network_json_has_the_bytes_of_json_dump(tmp_path_factory, kind, nodes, edges, node_attr, self_loops):
+    """Including empty node, edge and attribute sets."""
+    net = CommNetwork(kind=kind, nodes=nodes | {n for pair in edges for n in pair}, edges=edges, node_attr=node_attr)
+    net.self_loop_count = self_loops
+    tmp = tmp_path_factory.mktemp("net")
+    write_network_json(net, tmp / "net.json")
+    assert (tmp / "net.json").read_bytes() == oracle_json_bytes(tmp, oracle_network_payload(net))

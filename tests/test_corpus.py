@@ -1,21 +1,30 @@
 import json
 from dataclasses import FrozenInstanceError
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stancelab.corpus import (
     Corpus,
     CorpusFormatError,
     InteractionKind,
+    TweetRecord,
     dump_corpus,
     extract_interactions,
     load_corpus,
     normalize_hashtag,
+)
+from util import (
+    ESCAPED_CHARS,
+    make_corpus,
+    make_tweet,
+    oracle_corpus_bytes,
+    oracle_hashtag_counts,
+    oracle_load_corpus,
+    random_corpus,
     record_to_dict,
 )
-from util import make_corpus, make_tweet, oracle_hashtag_counts, oracle_load_corpus, random_corpus
 
 import numpy as np
 
@@ -174,6 +183,37 @@ def test_roundtrip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     dump_corpus(corpus, path)
     assert load_corpus(path, strict=True) == corpus
+
+
+odd_text = st.text(alphabet=st.sampled_from(ESCAPED_CHARS), max_size=4)
+odd_record = st.builds(
+    TweetRecord,
+    tweet_id=odd_text,
+    user_id=odd_text,
+    text=odd_text | st.text(max_size=12),
+    hashtags=st.lists(odd_text, max_size=3).map(tuple),
+    screen_name=odd_text,
+    retweeted_user_id=st.none() | odd_text,
+    in_reply_to_user_id=st.none() | odd_text,
+    mentioned_user_ids=st.lists(odd_text, max_size=3).map(tuple),
+    timestamp=st.none()
+    | st.datetimes(
+        timezones=st.none()
+        | st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23)))
+    ),
+)
+_EVERY_FIELD = TweetRecord(
+    "t\u00e9", "u\"1", "a\\b\x00\u2028", ("x", "y"), "me", "u2", "u3", ("u4",), datetime(2018, 12, 1, 12, 30, 5, 7)
+)
+
+
+@given(st.lists(odd_record, max_size=6))
+@example([_EVERY_FIELD, TweetRecord("1", "u", "")])
+def test_dump_writes_the_bytes_of_jsonl_line_per_record_dict(tmp_path_factory, records):
+    corpus = make_corpus(*records)
+    path = tmp_path_factory.mktemp("dump") / "c.jsonl"
+    dump_corpus(corpus, path)
+    assert path.read_bytes() == oracle_corpus_bytes(corpus)
 
 
 # JSON values of every kind, to put where a field or a hashtag belongs.

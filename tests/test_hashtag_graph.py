@@ -17,7 +17,16 @@ from stancelab.hashtag_graph import (
     write_graph_json,
     write_labels_csv,
 )
-from util import make_corpus, make_tweet, oracle_propagate_labels, random_connected_graph, two_clique_graph
+from util import (
+    ESCAPED_CHARS,
+    make_corpus,
+    make_tweet,
+    oracle_graph_payload,
+    oracle_json_bytes,
+    oracle_propagate_labels,
+    random_connected_graph,
+    two_clique_graph,
+)
 
 
 def worked_example_graph():
@@ -376,3 +385,27 @@ def test_labels_csv_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels_csv(labels, path)
     assert read_labels_csv(path) == labels
+
+
+names = st.text(alphabet=st.sampled_from(ESCAPED_CHARS), max_size=3)
+# The ends of the label range, zeros, subnormals and the rest of [-1, 1].
+label_values = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.1]) | st.floats(-1.0, 1.0)
+
+
+@given(
+    st.sets(names, max_size=6),
+    st.dictionaries(st.tuples(names, names).filter(lambda p: p[0] != p[1]), st.integers(1, 2**40), max_size=8),
+    st.data(),
+)
+def test_graph_json_has_the_bytes_of_json_dump(tmp_path_factory, nodes, edges, data):
+    """Including empty node, edge and label sets."""
+    g = HashtagGraph()
+    for node in nodes:
+        g.add_node(node)
+    for (a, b), w in edges.items():
+        g.add_edge(a, b, w)
+    for node in data.draw(st.lists(st.sampled_from(sorted(g.adj)), max_size=4)) if g.adj else []:
+        g.set_label(node, data.draw(label_values))
+    tmp = tmp_path_factory.mktemp("graph")
+    write_graph_json(g, tmp / "graph.json")
+    assert (tmp / "graph.json").read_bytes() == oracle_json_bytes(tmp, oracle_graph_payload(g))

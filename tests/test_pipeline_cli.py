@@ -307,17 +307,22 @@ class TestProvenance:
             run_stage("metrics", cfg)
         assert info.value.stage == "metrics"
 
-    @pytest.mark.parametrize("damage", ["drop stages", "truncate", "not an object"])
+    @pytest.mark.parametrize("damage", ["drop stages", "truncate", "not an object", "stages a number", "stages a string"])
     def test_old_or_unreadable_manifest_names_ingest(self, demo_cfg, damage):
+        """The stage refuses before it writes its output."""
         _, cfg = demo_cfg
         path = run_pipeline(cfg) / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         del manifest["stages"]  # as written before the manifest listed them
+        manifest.update({"stages a number": {"stages": 5}, "stages a string": {"stages": "ingest"}}.get(damage, {}))
         text = json.dumps(manifest)
-        damaged = {"drop stages": text, "truncate": text[: len(text) // 2], "not an object": "[]"}[damage]
+        damaged = {"truncate": text[: len(text) // 2], "not an object": "[]"}.get(damage, text)
         path.write_text(damaged, encoding="utf-8")
+        graph = path.parent / "hashtag_graph.json"
+        graph.unlink()
         with pytest.raises(StageError, match="run the ingest stage first"):
             run_stage("hashtags", cfg)
+        assert not graph.exists()
 
     @pytest.mark.parametrize(
         "broken, stage",

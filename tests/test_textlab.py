@@ -247,6 +247,21 @@ def test_tokenize_views_pool_in_first_author_order(tweets, pool_by_user):
         ]
 
 
+@given(st.lists(texts, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=10))
+def test_tokenize_repeated_texts_gives_the_docs_of_one_call_per_tweet(distinct, picks):
+    """Each distinct text is tokenized once; a repeat gets the same docs."""
+    chosen = [distinct[i % len(distinct)] for i in picks]
+    corpus = make_corpus(*(make_tweet(f"t{i}", "u", text=text) for i, text in enumerate(chosen)))
+    with patch.object(textlab, "tokenize_text_both", wraps=textlab.tokenize_text_both) as spy:
+        words, tagged = tokenize(corpus, STOPS)
+    assert spy.call_count == len(set(chosen))
+    for kept, docs in ((False, words), (True, tagged)):
+        assert docs == [
+            TokenizedDoc(doc_id=f"t{i}", tokens=tokenize_text_both(text, STOPS)[kept], hashtags_included=kept)
+            for i, text in enumerate(chosen)
+        ]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2024])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_vector_uniforms_equal_scalar_draws(seed, n):

@@ -18,6 +18,7 @@ import numpy as np
 
 from stancelab.commnet import CommNetwork, NetworkKind
 from stancelab.corpus import Corpus, CorpusFormatError, TweetRecord, normalize_hashtag
+from stancelab.fileio import jsonl_line
 from stancelab.hashtag_graph import HashtagGraph, PropagationConfig
 from stancelab.stance import Stance
 
@@ -62,6 +63,66 @@ def make_tweet(
 
 def make_corpus(*tweets: TweetRecord) -> Corpus:
     return Corpus(tweets=list(tweets))
+
+
+# Characters ``json`` escapes (quote, backslash, control characters,
+# non-ASCII, a line separator) beside plain letters, for names in the writers' tests.
+ESCAPED_CHARS = 'ab "\\\x00\x1f\x7f\n\u00e9\u20ac\u2028\U0001f600'
+
+
+def record_to_dict(record: TweetRecord) -> dict:
+    """Canonical JSON object for one record; optional empties are omitted."""
+    obj: dict = {
+        "tweet_id": record.tweet_id,
+        "user_id": record.user_id,
+        "text": record.text,
+        "hashtags": list(record.hashtags),
+    }
+    if record.screen_name:
+        obj["screen_name"] = record.screen_name
+    if record.retweeted_user_id is not None:
+        obj["retweeted_user_id"] = record.retweeted_user_id
+    if record.in_reply_to_user_id is not None:
+        obj["in_reply_to_user_id"] = record.in_reply_to_user_id
+    if record.mentioned_user_ids:
+        obj["mentioned_user_ids"] = list(record.mentioned_user_ids)
+    if record.timestamp is not None:
+        obj["timestamp"] = record.timestamp.isoformat()
+    return obj
+
+
+def oracle_corpus_bytes(corpus: Corpus) -> bytes:
+    """``dump_corpus``'s bytes, one ``jsonl_line`` per record dict."""
+    return "".join(jsonl_line(record_to_dict(t)) for t in corpus.tweets).encode("utf-8")
+
+
+def oracle_json_bytes(tmp_path, payload) -> bytes:
+    """The bytes ``json.dump(indent=2, sort_keys=True)`` and a newline give ``payload``."""
+    path = tmp_path / "oracle.json"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def oracle_network_payload(net: CommNetwork) -> dict:
+    """The object ``write_network_json`` writes, as ``json`` would take it."""
+    return {
+        "kind": net.kind.value,
+        "nodes": sorted(net.nodes),
+        "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
+        "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
+        "self_loop_count": net.self_loop_count,
+    }
+
+
+def oracle_graph_payload(graph: HashtagGraph) -> dict:
+    """The object ``write_graph_json`` writes, as ``json`` would take it."""
+    return {
+        "nodes": sorted(graph.adj),
+        "edges": [[a, b, w] for a, b, w in graph.edges()],
+        "labels": {n: graph.labels[n] for n in sorted(graph.labels)},
+    }
 
 
 def random_corpus(rng: np.random.Generator, n_tweets: int, n_users: int = 8, n_tags: int = 6, allow_self: bool = False) -> Corpus:
