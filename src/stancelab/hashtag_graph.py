@@ -10,7 +10,7 @@ labeled-neighbor quorum by a slack term that grows with the pass count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -191,12 +191,13 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
     Nodes that never acquire a labeled neighbor stay out of the result.
     Seed labels are returned unchanged.
 
-    The passes run as a worklist: a pass labels only the nodes that qualify,
-    in position order, and a node that starts to qualify behind the current
-    position waits for the next pass.  A pass in which no node qualifies
-    labels nothing, so the run skips ahead to the first pass whose slack
-    lets a node qualify; the result is the same.  The cost grows with
-    edges times log nodes, not with passes times nodes.
+    The passes are not run one by one.  Each hashtag is labeled at its first
+    qualifying (pass, position) slot, popped from one heap: labeling a node
+    pushes, for each unlabeled neighbor, the first slot not yet passed in
+    which that neighbor qualifies.  A node's deficit (degree minus labeled
+    neighbors) only falls, so no popped slot comes too early, and slots past
+    the pass cap are never pushed.  The cost grows with edges times log
+    edges, not with passes times nodes.
     """
     config = config or PropagationConfig()
     if not graph.labels:
@@ -209,68 +210,46 @@ def propagate_labels(graph: HashtagGraph, config: PropagationConfig | None = Non
     labels = dict(graph.labels)
     order = sorted(adj)
     position = {node: i for i, node in enumerate(order)}
-    limit = min(len(order), config.max_passes)
-    # A node qualifies once it has a labeled neighbor and its deficit (degree
-    # minus labeled neighbors) is at most the slack; both only grow easier.
+    n = len(order)
+    limit = min(n, config.max_passes)
+    gamma = config.gamma
+    # A node qualifies in pass p once it has a labeled neighbor and
+    # gamma * deficit <= p, where deficit = degree - labeled neighbors.
     deficit = {node: len(nbrs) for node, nbrs in adj.items()}
-    qualified: set[str] = set()
-    waiting: list[tuple[int, int]] = []  # (deficit, position) of pending unqualified nodes, or stale
-    ready: list[int] = []  # positions still to label in this pass
-    carry: list[int] = []  # positions to label in the next pass
+    # A slot (pass, position) is kept as pass * n + position: ints order as
+    # the pairs do, and compare faster in the heap.
+    slots: list[int] = []
 
-    def settle(node: str, at: int, slack: int) -> None:
-        """Count ``node``, just labeled at position ``at``, for its neighbors."""
+    def settle(node: str, pass_no: int, at: int) -> None:
+        """Count ``node``, just labeled in pass ``pass_no`` at position ``at``, for its neighbors."""
         for m in adj[node]:
             if m in labels:
                 continue
             d = deficit[m] = deficit[m] - 1
-            if m in qualified:
-                continue
             j = position[m]
-            if d > slack:
-                heappush(waiting, (d, j))
-                continue
-            qualified.add(m)
-            if j > at:
-                heappush(ready, j)
-            else:
-                carry.append(j)
+            slot = gamma * d
+            if slot <= pass_no:  # qualifies now: this pass if m comes later in it, else the next
+                slot = pass_no if j > at else pass_no + 1
+            if slot < limit:
+                heappush(slots, slot * n + j)
 
-    for node in labels:  # seeds count from pass 0 on
-        settle(node, len(order), 0)
-    pass_no = 0
-    while pass_no < limit:
-        slack = pass_no // config.gamma
-        while waiting:
-            d, j = waiting[0]
-            if order[j] not in qualified and deficit[order[j]] == d:
-                if d > slack:
-                    break
-                qualified.add(order[j])
-                carry.append(j)
-            heappop(waiting)
-        if not carry:
-            if not waiting:
-                break  # remaining nodes have no labeled neighbor and never will
-            pass_no = config.gamma * waiting[0][0]  # the first pass in which one qualifies
-            continue
-        ready.extend(carry)
-        carry.clear()
-        heapify(ready)
-        while ready:
-            i = heappop(ready)
-            node = order[i]
-            nbrs = adj[node]
-            score = 0.0
-            denom = 0.0
-            for m in sorted(nbrs):
-                if config.unlabeled_as_zero or m in labels:
-                    w = nbrs[m]
-                    score += labels.get(m, 0.0) * w
-                    denom += w
-            labels[node] = score / denom
-            settle(node, i, slack)
-        pass_no += 1
+    for node in graph.labels:  # seeds count from pass 0 on
+        settle(node, 0, -1)
+    while slots:
+        pass_no, i = divmod(heappop(slots), n)
+        node = order[i]
+        if node in labels:
+            continue  # an earlier slot labeled it
+        nbrs = adj[node]
+        score = 0.0
+        denom = 0.0
+        for m in sorted(nbrs):
+            if config.unlabeled_as_zero or m in labels:
+                w = nbrs[m]
+                score += labels.get(m, 0.0) * w
+                denom += w
+        labels[node] = score / denom
+        settle(node, pass_no, i)
     return labels
 
 

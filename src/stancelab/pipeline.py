@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -182,8 +183,10 @@ class PipelineConfig:
             raise ConfigError("min_cooccurrence, gamma, and max_passes must be >= 1")
         if self.top_k < 1 or self.lda_topics < 1 or self.top_n_words < 1:
             raise ConfigError("top_k, lda_topics, and top_n_words must be >= 1")
-        if not (self.lda_alpha is None or self.lda_alpha > 0) or not self.lda_beta > 0:
-            raise ConfigError("lda_alpha and lda_beta must be > 0")
+        for name in ("lda_alpha", "lda_beta"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be a finite number > 0")
         if self.lda_iterations < 0 or self.rng_seed < 0:
             raise ConfigError("lda_iterations and rng_seed must be >= 0")
         if any(not 0.0 <= t <= 1.0 for t in self.sweep_grid):

@@ -9,6 +9,7 @@ identical inputs and seeds give identical assignments.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from bisect import bisect_right
@@ -189,8 +190,8 @@ def lda_fit(
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     alpha = 50.0 / k if alpha is None else alpha
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be > 0")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("alpha and beta must be > 0 and finite")
 
     usable = [doc for doc in docs if doc.tokens]
     if not usable:

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -324,6 +325,19 @@ def seeded_graphs(draw):
     return graph_of([(a, b, w) for (a, b), w in zip(edges, weights)], names, zip(seeds, values))
 
 
+def sparse_seeded_graph(n_nodes, seed):
+    """About 3 edges per node between shuffled names, weights 1 to 3, some
+    isolated nodes, and 6 seeds of either sign."""
+    rng = np.random.default_rng(seed)
+    names = [f"t{k}" for k in rng.permutation(n_nodes)]
+    edges = {}
+    for a, b in rng.integers(0, n_nodes, size=(3 * n_nodes, 2)):
+        if a != b:
+            edges[min(a, b), max(a, b)] = int(rng.integers(1, 4))
+    seeds = [(names[k], float(rng.choice([-1.0, 1.0]))) for k in rng.choice(n_nodes, 6, replace=False)]
+    return graph_of([(names[a], names[b], w) for (a, b), w in edges.items()], names, seeds)
+
+
 class TestPropagationOracle:
     @settings(max_examples=400)
     @given(
@@ -369,6 +383,37 @@ class TestPropagationOracle:
             if len(labels) == len(graph.adj):
                 return max_passes
         return None
+
+    # Hundreds of nodes reach deep pass counts, and give most nodes several
+    # slots before the first one labels them; the hypothesis graphs are small.
+    @pytest.mark.parametrize("unlabeled_as_zero", [False, True])
+    @pytest.mark.parametrize("gamma", [1, 3, 20])
+    @pytest.mark.parametrize("n_nodes", [300, 600])
+    def test_matches_full_rescan_on_larger_graphs(self, n_nodes, gamma, unlabeled_as_zero):
+        graph = sparse_seeded_graph(n_nodes, seed=n_nodes + gamma)
+        cfg = PropagationConfig(gamma=gamma, unlabeled_as_zero=unlabeled_as_zero)
+        labels = propagate_labels(graph, cfg)
+        assert len(labels) > 6
+        assert repr(list(labels.items())) == repr(list(oracle_propagate_labels(graph, cfg).items()))
+
+    @given(seeded_graphs(), st.sampled_from([1, 2, 7]), st.sampled_from([2, 10**6]), st.booleans(), st.randoms())
+    # "x" averages three seeds, whose sum rounds differently in another order
+    @example(graph_of([("a", "x", 1), ("b", "x", 1), ("c", "x", 1)], (), [("a", 0.1), ("b", 0.2), ("c", 0.3)]), 1, 10**6, False, random.Random(1))
+    def test_seed_order_changes_no_label(self, graph, gamma, max_passes, unlabeled_as_zero, rnd):
+        cfg = PropagationConfig(gamma=gamma, max_passes=max_passes, unlabeled_as_zero=unlabeled_as_zero)
+        seeds = list(graph.labels.items())
+        rnd.shuffle(seeds)
+        shuffled = graph.copy()
+        shuffled.labels = dict(seeds)
+        assert repr(sorted(propagate_labels(shuffled, cfg).items())) == repr(sorted(propagate_labels(graph, cfg).items()))
+
+    @given(seeded_graphs(), st.sampled_from([1, 2, 7]), st.sampled_from([2, 10**6]), st.booleans())
+    def test_negated_seeds_negate_every_label(self, graph, gamma, max_passes, unlabeled_as_zero):
+        cfg = PropagationConfig(gamma=gamma, max_passes=max_passes, unlabeled_as_zero=unlabeled_as_zero)
+        negated = graph.copy()
+        negated.labels = {node: -value for node, value in graph.labels.items()}
+        # == and not the bits: a zero may come out with either sign
+        assert propagate_labels(negated, cfg) == {node: -value for node, value in propagate_labels(graph, cfg).items()}
 
     def test_pass_order_follows_names(self):
         # a node labeled in a pass counts for later names in that pass only

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -101,7 +102,9 @@ class TestConfig:
         for bad in (
             {"lda_alpha": -1.0},
             {"lda_alpha": 0.0},
+            {"lda_alpha": math.inf},
             {"lda_beta": 0.0},
+            {"lda_beta": math.inf},
             {"lda_iterations": -1},
             {"rng_seed": -1},
         ):

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from bisect import bisect_right
 from unittest.mock import patch
@@ -153,7 +154,7 @@ class TestLdaFit:
         with pytest.warns(UserWarning, match="vocabulary"):
             lda_fit([doc("d1", "only")], k=3, iterations=2, seed=0)
 
-    @pytest.mark.parametrize("prior", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -0.5}])
+    @pytest.mark.parametrize("prior", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -0.5}, {"alpha": math.inf}, {"beta": math.inf}])
     def test_nonpositive_priors_rejected(self, prior):
         with pytest.raises(ValueError, match="must be > 0"):
             lda_fit([doc("d1", "w", "v")], k=1, iterations=1, seed=0, **prior)
