@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import Corpus, InteractionKind, extract_interactions
+from .corpus import Corpus
 from .fileio import json_block, read_json, write_csv, write_text
 from .stance import Stance, StanceTable
 
@@ -51,7 +53,11 @@ class NetworkKind(str, Enum):
     INFLUENCE_BASE = "influence_base"
 
 
-_BUILDABLE = {NetworkKind.RETWEET, NetworkKind.MENTION, NetworkKind.REPLY}
+# The record field holding a retweet or reply network's one target per tweet.
+_TARGET_OF = {
+    NetworkKind.RETWEET: attrgetter("retweeted_user_id"),
+    NetworkKind.REPLY: attrgetter("in_reply_to_user_id"),
+}
 _EDGE = json_block(("%s",) * 3, 2)  # one [a, b, w] of a cached network's "edges"
 
 
@@ -93,23 +99,32 @@ def build_network(
 ) -> CommNetwork:
     """Per-kind network: edge (a, b) counts a's retweets/mentions/replies of b.
 
+    Each tweet's author is the source and the kind's record field the
+    targets: ``retweeted_user_id``, ``in_reply_to_user_id``, or each entry of
+    ``mentioned_user_ids``.  A target equal to the author counts in
+    ``self_loop_count`` instead of as an edge.
     ``include_retweet_mentions=False`` drops mention entries carried inside
     retweets.
     """
-    if kind not in _BUILDABLE:
+    if kind is NetworkKind.MENTION:
+        pairs = [
+            (t.user_id, target)
+            for t in corpus.tweets
+            if include_retweet_mentions or t.retweeted_user_id is None
+            for target in t.mentioned_user_ids
+        ]
+    elif kind in _TARGET_OF:
+        target_of = _TARGET_OF[kind]
+        pairs = [(t.user_id, target) for t in corpus.tweets if (target := target_of(t)) is not None]
+    else:
         raise ValueError(f"cannot build a {kind.value} network directly")
-    wanted = InteractionKind(kind.value)
     net = CommNetwork(kind=kind)
-    for t in corpus.tweets:
-        for inter in extract_interactions(t):
-            if inter.kind is not wanted:
-                continue
-            if wanted is InteractionKind.MENTION and t.is_retweet and not include_retweet_mentions:
-                continue
-            if inter.is_self:
-                net.self_loop_count += 1
-                continue
-            net.add_edge(inter.source, inter.target)
+    edges = net.edges
+    for pair in pairs:
+        if pair[0] != pair[1]:
+            edges[pair] = edges.get(pair, 0) + 1
+    net.nodes.update(chain.from_iterable(edges))
+    net.self_loop_count = len(pairs) - sum(edges.values())  # the pairs not counted as edges
     return net
 
 

@@ -9,6 +9,7 @@ received count, eigenvector centrality, and distinct-source count.
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,8 @@ __all__ = [
     "super_friends",
     "write_influencer_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ def eigenvector_centrality(
     update well defined on acyclic adjacencies and damps oscillation; on a
     disconnected graph the mass concentrates on the spectrally dominant
     component and other nodes tend to 0.  The result is L2-normalized.
+    When ``max_iter`` steps end with the last step's largest change still at
+    or above ``tol``, it logs a warning and returns the last iterate.
     """
     order = sorted(net.nodes)
     n = len(order)
@@ -112,15 +117,21 @@ def eigenvector_centrality(
     weights = np.array([w for _, _, w in items], dtype=np.float64)
 
     vec = np.full(n, 1.0 / np.sqrt(n))
+    step = float("inf")
     for _ in range(max_iter):
         nxt = vec.copy()
         if len(items):
             np.add.at(nxt, rows, weights * vec[cols])
         nxt /= np.linalg.norm(nxt)
-        if np.max(np.abs(nxt - vec)) < tol:
-            vec = nxt
-            break
+        step = float(np.max(np.abs(nxt - vec)))
         vec = nxt
+        if step < tol:
+            break
+    else:
+        logger.warning(
+            "eigenvector centrality did not converge in %d steps on %d nodes; last max-abs step %.3g (tol %.3g)",
+            max_iter, n, step, tol,
+        )
     return {node: float(vec[index[node]]) for node in order}
 
 

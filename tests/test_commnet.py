@@ -23,6 +23,8 @@ from util import (
     ESCAPED_CHARS,
     make_corpus,
     make_tweet,
+    oracle_build_network,
+    oracle_dot,
     oracle_gexf,
     oracle_json_bytes,
     oracle_network_payload,
@@ -132,6 +134,24 @@ class TestAllCommunication:
                 pairs |= set(net.edges)
             for pair in pairs:
                 assert combined.weight(*pair) == sum(net.weight(*pair) for net in nets.values())
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 120),
+    st.integers(1, 6),
+    st.sampled_from([NetworkKind.RETWEET, NetworkKind.MENTION, NetworkKind.REPLY]),
+    st.booleans(),
+)
+def test_build_network_matches_the_interaction_oracle(seed, n_tweets, n_users, kind, include_retweet_mentions):
+    """Self interactions, mentions inside retweets, and empty corpora included."""
+    corpus = random_corpus(np.random.default_rng(seed), n_tweets=n_tweets, n_users=n_users, allow_self=True)
+    net = build_network(corpus, kind, include_retweet_mentions=include_retweet_mentions)
+    expected = oracle_build_network(corpus, kind, include_retweet_mentions=include_retweet_mentions)
+    assert net.kind is kind
+    assert net.nodes == expected.nodes
+    assert net.edges == expected.edges
+    assert net.self_loop_count == expected.self_loop_count
 
 
 class TestConservation:
@@ -275,6 +295,23 @@ class TestExports:
         path = tmp_path_factory.mktemp("gexf") / "net.gexf"
         export_graph(net, "gexf", path)
         assert path.read_bytes() == oracle_gexf(net).encode("utf-8")
+
+    @given(
+        st.sampled_from(NetworkKind),
+        st.lists(st.text(alphabet='a"\\\n \u00e9\u20ac\U0001f600', min_size=1, max_size=4), max_size=6, unique=True),
+        st.data(),
+    )
+    def test_dot_bytes_match_the_oracle(self, tmp_path_factory, kind, names, data):
+        """Names with quotes, backslashes, newlines and non-ASCII characters,
+        nodes without a stance, and empty node or edge sets."""
+        net = CommNetwork(kind=kind, nodes=set(names))
+        if names:
+            pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8))
+            net.edges = {(src, dst): data.draw(st.integers(1, 2**40)) for src, dst in pairs if src != dst}
+        net.node_attr = {n: data.draw(st.sampled_from([s.value for s in Stance])) for n in names if data.draw(st.booleans())}
+        path = tmp_path_factory.mktemp("dot") / "net.dot"
+        export_graph(net, "dot", path)
+        assert path.read_bytes() == oracle_dot(net).encode("utf-8")
 
     def test_edge_csv_roundtrip(self, tmp_path):
         path = tmp_path / "net.csv"

@@ -274,6 +274,22 @@ def test_records_stay_frozen():
         record.text = "changed"
 
 
+def test_loaded_records_are_the_records_the_constructor_makes(tmp_path):
+    """A record filled through its slots is frozen, and equal, hashed and
+    shown as the same record built by ``TweetRecord(...)``."""
+    corpus = make_corpus(
+        make_tweet("t1", "u1", hashtags=["a"], text="x", retweeted="u2", reply_to="u3", mentions=["u4"],
+                   screen_name="me", timestamp=datetime(2018, 12, 3, tzinfo=timezone.utc)),
+        make_tweet("t2", "u2"),
+    )
+    dump_corpus(corpus, tmp_path / "c.jsonl")
+    for loaded, built in zip(load_corpus(tmp_path / "c.jsonl", strict=True).tweets, corpus.tweets, strict=True):
+        assert type(loaded) is TweetRecord
+        assert loaded == built and hash(loaded) == hash(built) and repr(loaded) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            loaded.text = "changed"
+
+
 def test_indices_match_brute_force():
     rng = np.random.default_rng(41)
     for _ in range(20):

@@ -177,6 +177,21 @@ class TestEigenvectorCentrality:
         net = random_spectral_network(rng, max_nodes=10)
         assert eigenvector_centrality(net) == eigenvector_centrality(net)
 
+    def test_warns_only_when_max_iter_ends_the_iteration(self, caplog):
+        net = CommNetwork(kind=NetworkKind.INFLUENCE_BASE)
+        for src, dst, w in (("a", "b", 3), ("b", "c", 1), ("c", "a", 2), ("b", "a", 1)):
+            net.add_edge(src, dst, w)
+        with caplog.at_level("WARNING", logger="stancelab.netmetrics"):
+            cut = eigenvector_centrality(net, max_iter=1)
+        [record] = caplog.records
+        assert record.name == "stancelab.netmetrics" and record.levelname == "WARNING"
+        step = max(abs(v - 1 / np.sqrt(3)) for v in cut.values())
+        assert "3 nodes" in record.getMessage() and f"{step:.3g}" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="stancelab.netmetrics"):
+            eigenvector_centrality(net)
+        assert caplog.records == []
+
 
 def star_base(n_fans=5):
     """n accounts each retweet X once; received orientation."""

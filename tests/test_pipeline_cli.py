@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -616,3 +617,64 @@ class TestForkedStages:
             run_pipeline(cfg)
         assert info.value.stage == earlier
         self.assert_left_as_built(cfg, digests)
+
+
+class TestCollectorThreshold:
+    """A build runs with the collector's threshold raised, in the forked child
+    too, and leaves the caller's threshold and enabled state as they were,
+    whether it succeeds or a stage fails."""
+
+    CALLER = (1234, 5, 6)
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def caller_gc(self, request):
+        threshold, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(*self.CALLER)
+        if not request.param:
+            gc.disable()
+        yield self.CALLER, request.param
+        gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def record_threshold(monkeypatch, log, stage, fail):
+        step = pipeline._STAGES[stage]
+
+        def recording(cfg, bundle):
+            append_record(log, [stage, list(gc.get_threshold())])
+            if fail:
+                raise OSError(f"{stage} broke")
+            step(cfg, bundle)
+
+        monkeypatch.setitem(pipeline._STAGES, stage, recording)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
+    def test_run_pipeline(self, demo_cfg, tmp_path, monkeypatch, caller_gc, fail):
+        _, cfg = demo_cfg
+        log = tmp_path / "thresholds.jsonl"
+        stages = ("ingest", pipeline._CHILD_LANE[-1], "text")
+        for stage in stages:
+            self.record_threshold(monkeypatch, log, stage, fail and stage == "text")
+        if fail:
+            with pytest.raises(StageError, match="text broke"):
+                run_pipeline(cfg)
+        else:
+            run_pipeline(cfg)
+        raised = list(pipeline._BUILD_GC_THRESHOLD)
+        assert sorted(read_records(log)) == sorted([stage, raised] for stage in stages)
+        assert (gc.get_threshold(), gc.isenabled()) == caller_gc
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
+    def test_run_stage(self, demo_cfg, tmp_path, monkeypatch, caller_gc, fail):
+        _, cfg = demo_cfg
+        log = tmp_path / "thresholds.jsonl"
+        run_stage("ingest", cfg)
+        assert (gc.get_threshold(), gc.isenabled()) == caller_gc
+        self.record_threshold(monkeypatch, log, "hashtags", fail)
+        if fail:
+            with pytest.raises(StageError, match="hashtags broke"):
+                run_stage("hashtags", cfg)
+        else:
+            run_stage("hashtags", cfg)
+        assert read_records(log) == [["hashtags", list(pipeline._BUILD_GC_THRESHOLD)]]
+        assert (gc.get_threshold(), gc.isenabled()) == caller_gc

@@ -17,7 +17,14 @@ from datetime import datetime
 import numpy as np
 
 from stancelab.commnet import CommNetwork, NetworkKind
-from stancelab.corpus import Corpus, CorpusFormatError, TweetRecord, normalize_hashtag
+from stancelab.corpus import (
+    Corpus,
+    CorpusFormatError,
+    InteractionKind,
+    TweetRecord,
+    extract_interactions,
+    normalize_hashtag,
+)
 from stancelab.fileio import jsonl_line
 from stancelab.hashtag_graph import HashtagGraph, PropagationConfig
 from stancelab.stance import Stance
@@ -110,7 +117,7 @@ def oracle_network_payload(net: CommNetwork) -> dict:
     return {
         "kind": net.kind.value,
         "nodes": sorted(net.nodes),
-        "edges": [[a, b, w] for a, b, w in net.sorted_edges()],
+        "edges": [[a, b, w] for (a, b), w in sorted(net.edges.items())],
         "node_attr": {n: net.node_attr[n] for n in sorted(net.node_attr)},
         "self_loop_count": net.self_loop_count,
     }
@@ -149,6 +156,24 @@ def random_corpus(rng: np.random.Generator, n_tweets: int, n_users: int = 8, n_t
             )
         )
     return make_corpus(*tweets)
+
+
+def oracle_build_network(corpus: Corpus, kind: NetworkKind, *, include_retweet_mentions: bool = True) -> CommNetwork:
+    """``build_network`` as first written: every record's ``Interaction``s,
+    kept when of ``kind``, self interactions counted apart."""
+    wanted = InteractionKind(kind.value)
+    net = CommNetwork(kind=kind)
+    for t in corpus.tweets:
+        for inter in extract_interactions(t):
+            if inter.kind is not wanted:
+                continue
+            if wanted is InteractionKind.MENTION and t.is_retweet and not include_retweet_mentions:
+                continue
+            if inter.is_self:
+                net.self_loop_count += 1
+                continue
+            net.add_edge(inter.source, inter.target)
+    return net
 
 
 def oracle_hashtag_counts(corpus: Corpus, user_id: str, include_retweets: bool = True) -> dict[str, int]:
@@ -276,7 +301,7 @@ def oracle_gexf(net: CommNetwork) -> str:
         stance = net.node_attr.get(node, Stance.UNCLASSIFIED.value)
         ET.SubElement(values, "attvalue", {"for": "0", "value": stance})
     edges_el = ET.SubElement(graph, "edges")
-    for i, (src, dst, w) in enumerate(net.sorted_edges()):
+    for i, ((src, dst), w) in enumerate(sorted(net.edges.items())):
         ET.SubElement(
             edges_el,
             "edge",
@@ -284,6 +309,22 @@ def oracle_gexf(net: CommNetwork) -> str:
         )
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
+def oracle_dot(net: CommNetwork) -> str:
+    """The DOT export: each name quoted with a backslash before every ``"``
+    and ``\\``, nodes sorted with their stance when they have one, then the
+    edges sorted with their weights."""
+    def quote(name: str) -> str:
+        return '"' + re.sub(r'(["\\])', r"\\\1", name) + '"'
+
+    out = ["digraph " + net.kind.value + " {\n"]
+    for node in sorted(net.nodes):
+        stance = net.node_attr.get(node, "")
+        out.append("  " + quote(node) + (' [stance="' + stance + '"]' if stance else "") + ";\n")
+    for (src, dst), w in sorted(net.edges.items()):
+        out.append("  " + quote(src) + " -> " + quote(dst) + " [weight=" + str(w) + "];\n")
+    return "".join(out) + "}\n"
 
 
 def random_spectral_network(rng: np.random.Generator, max_nodes: int = 15) -> CommNetwork:
