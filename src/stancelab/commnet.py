@@ -203,7 +203,7 @@ def _export_dot(net: CommNetwork, path: Path) -> None:
     lines = [f"digraph {net.kind.value} {{"]
     for node in sorted(net.nodes):
         stance = net.node_attr.get(node)
-        attr = f' [stance="{stance}"]' if stance else ""
+        attr = f" [stance={_dot_quote(stance)}]" if stance else ""
         lines.append(f"  {_dot_quote(node)}{attr};")
     for src, dst, w in net.sorted_edges():
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={w}];")

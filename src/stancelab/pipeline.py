@@ -19,8 +19,9 @@ Both write the same bytes.  The manifest records what the bundle is built from
 (``_built_from``) and the ``stages`` run since ``ingest``; ``run_stage``
 refuses other inputs or another config, but not another name for the directory.
 
-To add a stage, write its function and add its entry at its place in the
-table, with an ``_INTERMEDIATES`` entry for each new value it puts.
+To add a stage, write its function, taking ``(cfg, bundle)`` and, keyword-only,
+one parameter named after each intermediate in its ``reads``; add its entry at
+its place in the table, and an ``_INTERMEDIATES`` entry for each value it puts.
 """
 
 from __future__ import annotations
@@ -107,6 +108,10 @@ TEXT_DIR = "text"
 SWEEP_FILE = "bot_sweep.csv"
 CONCENTRATION_FILE = "concentration.json"
 MANIFEST_FILE = "manifest.json"
+SPREADERS_FILE = "super_spreaders_{}.csv"
+FRIENDS_FILE = "super_friends_{}.csv"
+FREQUENCIES_FILE = TEXT_DIR + "/frequencies_{}.csv"
+TOPICS_FILE = TEXT_DIR + "/topics_{}.json"
 
 _NETWORK_NAMES = ("retweet", "mention", "reply", "all_communication", "reciprocal")
 _INFLUENCER_GROUPS = (Stance.BELIEVER, Stance.DISBELIEVER)
@@ -305,10 +310,10 @@ _INTERMEDIATES: dict[str, _Intermediate] = {
 class _Bundle:
     """One build's bundle directory, through which stages pass intermediates.
 
-    ``step`` runs a stage and records it in ``stages``.  ``put`` writes the
-    file and holds the value while a later stage reads it; ``get`` returns a
-    held value, or else reads the file if ``stages`` lists its producer.
-    ``built_from`` is what the manifest records the bundle is built from.
+    ``step`` runs a stage on the values it reads and records it in ``stages``.
+    ``put`` writes the file and holds the value while a later stage reads it;
+    ``get`` returns a held value, or else reads the file if ``stages`` lists
+    its producer.  The manifest records ``built_from``, what the bundle is built from.
     """
 
     def __init__(self, root: Path, cfg: PipelineConfig) -> None:
@@ -320,10 +325,11 @@ class _Bundle:
         self._held: dict[str, Any] = {}
 
     def step(self, name: str) -> None:
-        """Run stage ``name``, record it, and drop the values no later stage reads."""
+        """Run stage ``name`` on its reads, passed by name; record it, and drop the values no later stage reads."""
         self.stage = name
         with _failing_as(name):
-            _STAGES[name](self.cfg, self)
+            inputs = {item: self.get(item) for item in _STAGE_TABLE[name].reads}
+            _STAGES[name](self.cfg, self, **inputs)
         self.stages.append(name)
         self._held = {item: value for item, value in self._held.items() if _LAST_READER[item] != name}
 
@@ -402,34 +408,26 @@ def stage_ingest(cfg: PipelineConfig, bundle: _Bundle) -> None:
     bundle.put("corpus", corpus)
 
 
-def stage_hashtags(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    bundle.put("hashtag_graph", build_cooccurrence_graph(bundle.get("corpus"), cfg.min_cooccurrence))
+def stage_hashtags(cfg: PipelineConfig, bundle: _Bundle, *, corpus) -> None:
+    bundle.put("hashtag_graph", build_cooccurrence_graph(corpus, cfg.min_cooccurrence))
 
 
-def stage_propagate(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    graph = bundle.get("hashtag_graph")
+def stage_propagate(cfg: PipelineConfig, bundle: _Bundle, *, hashtag_graph) -> None:
     seeds = SeedSpec.from_csv(cfg.seed_file)
-    seeded, missing = seed_labels(graph, seeds)
+    seeded, missing = seed_labels(hashtag_graph, seeds)
     if missing:
         logger.warning("%s: seed hashtags absent from the graph: %s", bundle.stage, ", ".join(missing))
     config = PropagationConfig(gamma=cfg.gamma, max_passes=cfg.max_passes, unlabeled_as_zero=cfg.unlabeled_as_zero)
     bundle.put("labels", propagate_labels(seeded, config))
 
 
-def stage_classify(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    table = classify_users(
-        bundle.get("corpus"),
-        bundle.get("labels"),
-        count_weighting=not cfg.presence_weighting,
-        include_retweet_hashtags=cfg.include_retweet_hashtags,
-    )
+def stage_classify(cfg: PipelineConfig, bundle: _Bundle, *, corpus, labels) -> None:
+    retweets = cfg.include_retweet_hashtags
+    table = classify_users(corpus, labels, count_weighting=not cfg.presence_weighting, include_retweet_hashtags=retweets)
     bundle.put("stance", table)
 
 
-def stage_networks(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    corpus = bundle.get("corpus")
-    table = bundle.get("stance")
-
+def stage_networks(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
     retweet = build_network(corpus, NetworkKind.RETWEET)
     mention = build_network(corpus, NetworkKind.MENTION, include_retweet_mentions=cfg.include_retweet_mentions)
     reply = build_network(corpus, NetworkKind.REPLY)
@@ -437,25 +435,23 @@ def stage_networks(cfg: PipelineConfig, bundle: _Bundle) -> None:
     nets["all_communication"] = all_communication(retweet, mention, reply, corpus)
     nets["reciprocal"] = reciprocal_subnetwork(nets[cfg.reciprocal_base])
     for name in _NETWORK_NAMES:
-        net = attach_stances(nets[name], table)
+        net = attach_stances(nets[name], stance)
         bundle.put(name, net)
         for fmt in cfg.export_formats:
             export_graph(net, fmt, bundle.file(_export_path(name, fmt)))
 
 
-def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    table = bundle.get("stance")
-    combined = bundle.get("all_communication")
-    reciprocal = bundle.get("reciprocal")
-
+def stage_metrics(
+    cfg: PipelineConfig, bundle: _Bundle, *, stance, all_communication, mention, retweet, reciprocal
+) -> None:
     echo_rows = []
-    for stance in _INFLUENCER_GROUPS:
+    for group in _INFLUENCER_GROUPS:
         for with_unclassified in (False, True):
-            groups = {stance} | ({Stance.UNCLASSIFIED} if with_unclassified else set())
-            result = echo_chamberness(group_subgraph(combined, table, groups))
+            members = {group} | ({Stance.UNCLASSIFIED} if with_unclassified else set())
+            result = echo_chamberness(group_subgraph(all_communication, stance, members))
             echo_rows.append(
                 {
-                    "group": stance.value,
+                    "group": group.value,
                     "with_unclassified": with_unclassified,
                     "r": result.reciprocity,
                     "d": result.density,
@@ -467,14 +463,17 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
     echo_rows.sort(key=lambda row: (row["group"], row["with_unclassified"]))
     write_json(bundle.file(METRICS_FILE), echo_rows)
 
-    base = influence_base(bundle.get("mention"), bundle.get("retweet"))
+    base = influence_base(mention, retweet)
     summary: dict[str, Any] = {"k": cfg.top_k}
-    for kind, measure, net in (("super_spreaders", super_spreaders, base), ("super_friends", super_friends, reciprocal)):
+    for kind, measure, net, pattern in (
+        ("super_spreaders", super_spreaders, base, SPREADERS_FILE),
+        ("super_friends", super_friends, reciprocal, FRIENDS_FILE),
+    ):
         summary[kind] = {}
-        for stance in _INFLUENCER_GROUPS:
-            report = measure(group_subgraph(net, table, {stance}), cfg.top_k)
-            write_influencer_csv(report, bundle.file(f"{kind}_{stance.value}.csv"))
-            summary[kind][stance.value] = {
+        for group in _INFLUENCER_GROUPS:
+            report = measure(group_subgraph(net, stance, {group}), cfg.top_k)
+            write_influencer_csv(report, bundle.file(pattern.format(group.value)))
+            summary[kind][group.value] = {
                 "super_count": len(report.super_accounts),
                 "node_count": len(report.measures),
                 "fraction": report.fraction,
@@ -482,26 +481,24 @@ def stage_metrics(cfg: PipelineConfig, bundle: _Bundle) -> None:
     write_json(bundle.file(INFLUENCER_SUMMARY_FILE), summary)
 
 
-def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    corpus = bundle.get("corpus")
-    table = bundle.get("stance")
+def stage_text(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
     stopwords = load_stopwords(cfg.stopword_file) if cfg.stopword_file else default_stopwords()
     exclude = corpus.all_hashtags() if cfg.topics_exclude_hashtags_in_report else None
 
-    groups: dict[Stance, list] = {stance: [] for stance in _INFLUENCER_GROUPS}
+    by_group: dict[Stance, list] = {group: [] for group in _INFLUENCER_GROUPS}
     for t in corpus.tweets:
-        tweets = groups.get(table.stance_of(t.user_id))
+        tweets = by_group.get(stance.stance_of(t.user_id))
         if tweets is not None:
             tweets.append(t)
 
-    for stance, tweets in groups.items():
+    for group, tweets in by_group.items():
         # Frequencies are counts, so the pooled documents give the same report.
         views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user)
         frequencies = unigram_frequencies(views[cfg.frequencies_include_hashtags], cfg.top_n_words)
-        write_frequency_csv(frequencies, bundle.file(f"{TEXT_DIR}/frequencies_{stance.value}.csv"))
+        write_frequency_csv(frequencies, bundle.file(FREQUENCIES_FILE.format(group.value)))
 
         topic_docs = [doc for doc in views[cfg.topics_include_hashtags] if doc.tokens]
-        topics_path = bundle.file(f"{TEXT_DIR}/topics_{stance.value}.json")
+        topics_path = bundle.file(TOPICS_FILE.format(group.value))
         if topic_docs:
             model = lda_fit(
                 topic_docs,
@@ -516,14 +513,12 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle) -> None:
             write_json(topics_path, [])
 
 
-def stage_annotations(cfg: PipelineConfig, bundle: _Bundle) -> None:
-    corpus = bundle.get("corpus")
-    table = bundle.get("stance")
+def stage_annotations(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
     scores = load_bot_scores(cfg.bot_scores_path)
     types = load_account_types(cfg.account_types_path)
-    rows = bot_threshold_sweep(corpus, table, scores, cfg.sweep_grid, include_global=cfg.sweep_include_global)
+    rows = bot_threshold_sweep(corpus, stance, scores, cfg.sweep_grid, include_global=cfg.sweep_include_global)
     write_sweep_csv(rows, bundle.file(SWEEP_FILE))
-    write_concentration_json(news_source_concentration(corpus, table, types), bundle.file(CONCENTRATION_FILE))
+    write_concentration_json(news_source_concentration(corpus, stance, types), bundle.file(CONCENTRATION_FILE))
 
 
 def _file_sha256(path: Path) -> str:
@@ -557,7 +552,7 @@ def stage_report(cfg: PipelineConfig, bundle: _Bundle) -> None:
 
 @dataclass(frozen=True)
 class _Stage:
-    run: Callable[[PipelineConfig, _Bundle], None]
+    run: Callable[..., None]  # (cfg, bundle, *, one keyword argument per read, as its reader returns it)
     reads: tuple[str, ...] = ()
     puts: tuple[str, ...] = ()
     files: Callable[[PipelineConfig], list[str]] = lambda cfg: []  # other bundle files; the manifest is not one
@@ -583,13 +578,13 @@ _STAGE_TABLE: dict[str, _Stage] = {
         stage_metrics,
         ("stance", "all_communication", "mention", "retweet", "reciprocal"),
         (),
-        lambda cfg: _by_group(METRICS_FILE, INFLUENCER_SUMMARY_FILE, "super_spreaders_{}.csv", "super_friends_{}.csv"),
+        lambda cfg: _by_group(METRICS_FILE, INFLUENCER_SUMMARY_FILE, SPREADERS_FILE, FRIENDS_FILE),
         forked=True,
     ),
     "text": _Stage(
         stage_text,
         ("corpus", "stance"),
-        files=lambda cfg: _by_group(TEXT_DIR + "/frequencies_{}.csv", TEXT_DIR + "/topics_{}.json"),
+        files=lambda cfg: _by_group(FREQUENCIES_FILE, TOPICS_FILE),
     ),
     "annotations": _Stage(stage_annotations, ("corpus", "stance"), files=lambda cfg: [SWEEP_FILE, CONCENTRATION_FILE]),
     "report": _Stage(stage_report),
@@ -597,7 +592,7 @@ _STAGE_TABLE: dict[str, _Stage] = {
 
 # Read off the table.  ``_Bundle.step`` looks each stage function up in ``_STAGES``
 # when it runs, so a function patched in there is the one called.
-_STAGES: dict[str, Callable[[PipelineConfig, _Bundle], None]] = {name: s.run for name, s in _STAGE_TABLE.items()}
+_STAGES: dict[str, Callable[..., None]] = {name: s.run for name, s in _STAGE_TABLE.items()}
 STAGE_ORDER = tuple(_STAGE_TABLE)
 _PRODUCER = {item: name for name, s in _STAGE_TABLE.items() for item in s.puts}
 _LAST_READER = {item: name for name, s in _STAGE_TABLE.items() for item in s.reads}  # a later reader overwrites
@@ -636,8 +631,12 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
     with _gc_threshold_raised(), _failing_as(name):
         bundle = _Bundle(Path(cfg.output_dir), cfg)
         manifest = bundle.root / MANIFEST_FILE
-        if name == "ingest":
+        if name == "ingest":  # a new build: delete the files a bundle for cfg does not list
             _refuse_foreign(bundle.root, name)
+            listed = {*bundle_files(cfg), MANIFEST_FILE}
+            for path in sorted(bundle.root.rglob("*")):
+                if path.is_file() and path.relative_to(bundle.root).as_posix() not in listed:
+                    path.unlink()
             write_json(bundle.file(MANIFEST_FILE), {**bundle.built_from, "stages": []})
         elif manifest.is_file():
             try:

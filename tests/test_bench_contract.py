@@ -44,9 +44,9 @@ def test_patched_stage_is_the_one_run_pipeline_and_run_stage_call(tmp_path, monk
     calls = []
     text = pipeline._STAGES["text"]
 
-    def in_place(cfg, bundle):
+    def in_place(cfg, bundle, **inputs):
         calls.append(bundle.root == cfg.output_dir)
-        text(cfg, bundle)
+        text(cfg, bundle, **inputs)
 
     monkeypatch.setitem(pipeline._STAGES, "text", in_place)
     cfg = pipeline.PipelineConfig.from_file(write_demo_config(tmp_path / "inputs", output_dir=tmp_path / "out"))

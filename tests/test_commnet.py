@@ -302,13 +302,14 @@ class TestExports:
         st.data(),
     )
     def test_dot_bytes_match_the_oracle(self, tmp_path_factory, kind, names, data):
-        """Names with quotes, backslashes, newlines and non-ASCII characters,
-        nodes without a stance, and empty node or edge sets."""
+        """Names and stances with quotes, backslashes, newlines and non-ASCII
+        characters, nodes without a stance, and empty node or edge sets."""
         net = CommNetwork(kind=kind, nodes=set(names))
         if names:
             pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8))
             net.edges = {(src, dst): data.draw(st.integers(1, 2**40)) for src, dst in pairs if src != dst}
-        net.node_attr = {n: data.draw(st.sampled_from([s.value for s in Stance])) for n in names if data.draw(st.booleans())}
+        stances = st.sampled_from([s.value for s in Stance]) | st.text(alphabet='b"\\\n\u00e9', max_size=3)
+        net.node_attr = {n: data.draw(stances) for n in names if data.draw(st.booleans())}
         path = tmp_path_factory.mktemp("dot") / "net.dot"
         export_graph(net, "dot", path)
         assert path.read_bytes() == oracle_dot(net).encode("utf-8")

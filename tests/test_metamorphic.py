@@ -10,7 +10,9 @@ Each relation transforms the demo inputs, builds a second bundle with
   order;
 - line-order shuffle: shuffling the corpus lines changes only
   ``corpus.jsonl`` (the same lines in the new order) and the two topic
-  models, since LDA depends on document order.
+  models, since LDA depends on document order;
+- renaming: one prefix on every user id keeps the ids in the same order, so
+  every file equals its counterpart once the prefix is removed.
 
 Negation is exact in IEEE arithmetic, through sums and weighted averages,
 so the flipped values are compared with ``==``.
@@ -26,7 +28,7 @@ from dataclasses import replace
 import pytest
 
 from stancelab.demo import DEMO_SEEDS, write_demo_config
-from stancelab.fileio import write_csv
+from stancelab.fileio import read_csv, write_csv
 from stancelab.pipeline import PipelineConfig, run_pipeline
 
 # file -> index of the column the seed flip negates
@@ -35,6 +37,8 @@ NEGATED = {"hashtag_labels.csv": 1, "stance.csv": 1}
 REORDERED = ("bot_sweep.csv", "concentration.json", "influencer_summary.json", "metrics.json")
 # files a corpus line shuffle may change
 ORDER_DEPENDENT = ("corpus.jsonl", "text/topics_believer.json", "text/topics_disbeliever.json")
+# the tweet fields that hold one user id
+USER_FIELDS = ("user_id", "retweeted_user_id", "in_reply_to_user_id")
 
 
 def swap(text: str) -> str:
@@ -97,6 +101,33 @@ def test_seed_sign_flip_swaps_the_camps(demo):
             assert sorted_rows(name, got) == sorted_rows(name, swap(text)), name
         else:
             assert got == swap(text), name
+
+
+def test_prefixing_every_user_id_renames_it_in_every_file(demo):
+    base, cfg, lines, bundle = demo
+    prefix = "acct_"
+    for path in cfg.input_files().values():
+        assert prefix not in path.read_text(encoding="utf-8")
+    assert not [name for name, text in bundle.items() if prefix in text]
+    renamed_lines = []
+    for line in lines:
+        tweet = json.loads(line)
+        for key in USER_FIELDS:
+            if tweet.get(key) is not None:
+                tweet[key] = prefix + tweet[key]
+        tweet["mentioned_user_ids"] = [prefix + m for m in tweet.get("mentioned_user_ids", [])]
+        renamed_lines.append(json.dumps(tweet) + "\n")
+    inputs = {"corpus_path": base / "renamed_corpus.jsonl"}
+    inputs["corpus_path"].write_text("".join(renamed_lines), encoding="utf-8")
+    for field, columns in (("bot_scores_path", ("user_id", "probability")), ("account_types_path", ("user_id", "type"))):
+        inputs[field] = base / f"renamed_{field}.csv"
+        rows = read_csv(getattr(cfg, field), columns, lambda row: (prefix + row[0], *row[1:]))
+        write_csv(inputs[field], columns, rows)
+    renamed = build(cfg, base / "renamed", **inputs)
+    assert sorted(renamed) == sorted(bundle)
+    assert prefix in renamed["stance.csv"] and prefix in renamed["networks/mention.json"]
+    for name, text in bundle.items():
+        assert renamed[name].replace(prefix, "") == text, name
 
 
 @pytest.mark.parametrize("shuffle_seed", range(5))

@@ -290,6 +290,28 @@ class TestProvenance:
         with pytest.raises(StageError, match="run the hashtags stage first"):
             run_stage("report", other)
 
+    def test_ingest_deletes_the_files_a_new_build_does_not_list(self, demo_cfg):
+        """A staged rebuild with fewer exports leaves only the files its manifest lists."""
+        _, cfg = demo_cfg
+        assert set(cfg.export_formats) == {"csv", "gexf", "dot"}
+        out = run_pipeline(cfg)
+        fewer = replace(cfg, export_formats=("csv",))
+        for stage in STAGE_ORDER:
+            run_stage(stage, fewer)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert on_disk - set(manifest["outputs"]) == {"manifest.json"}
+
+    def test_a_stage_fetches_every_read_before_it_writes(self, demo_cfg):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("metrics")]:
+            run_stage(stage, cfg)
+        (cfg.output_dir / "networks" / "mention.json").unlink()
+        with pytest.raises(StageError, match="run the networks stage first") as info:
+            run_stage("metrics", cfg)
+        assert info.value.stage == "metrics"
+        assert not (cfg.output_dir / "metrics.json").exists()
+
     # A failure at the first network leaves one network file, at the last all five.
     @pytest.mark.parametrize("failing", ["retweet", "reciprocal"])
     def test_a_failed_stage_is_not_recorded(self, demo_cfg, monkeypatch, failing):
@@ -561,7 +583,7 @@ class TestForkedStages:
 
     @staticmethod
     def fail_in(monkeypatch, stage, action=None):
-        def failing(cfg, bundle):
+        def failing(cfg, bundle, **inputs):
             if action is not None:
                 action()
             raise OSError(f"{stage} broke")
@@ -640,11 +662,11 @@ class TestCollectorThreshold:
     def record_threshold(monkeypatch, log, stage, fail):
         step = pipeline._STAGES[stage]
 
-        def recording(cfg, bundle):
+        def recording(cfg, bundle, **inputs):
             append_record(log, [stage, list(gc.get_threshold())])
             if fail:
                 raise OSError(f"{stage} broke")
-            step(cfg, bundle)
+            step(cfg, bundle, **inputs)
 
         monkeypatch.setitem(pipeline._STAGES, stage, recording)
 

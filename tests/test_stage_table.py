@@ -4,6 +4,7 @@ bundle file list, each intermediate's producer and last reader, the stages
 stages, and the stage list in the README."""
 
 import gc
+import inspect
 import os
 import re
 import weakref
@@ -66,13 +67,39 @@ def test_each_stage_does_what_it_declares(demo_cfg, monkeypatch):
         assert seen[stage] == (set(entry.reads), set(entry.puts)), stage
 
 
+def test_each_stage_takes_its_reads_as_keyword_arguments():
+    for name, entry in pipeline._STAGE_TABLE.items():
+        params = inspect.signature(entry.run).parameters.values()
+        assert [p.name for p in params if p.kind is not p.KEYWORD_ONLY] == ["cfg", "bundle"], name
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == list(entry.reads), name
+
+
+def _without_reads(cfg, bundle):
+    pass
+
+
+def _with_labels(cfg, bundle, *, corpus, labels):
+    pass
+
+
+@pytest.mark.parametrize(
+    "body, message", [(_without_reads, "unexpected keyword argument 'corpus'"), (_with_labels, "'labels'")]
+)
+def test_a_body_unlike_its_reads_fails_as_its_stage(demo_cfg, monkeypatch, body, message):
+    run_stage("ingest", demo_cfg)
+    monkeypatch.setitem(pipeline._STAGES, "hashtags", body)
+    with pytest.raises(StageError, match=message) as info:
+        run_stage("hashtags", demo_cfg)
+    assert info.value.stage == "hashtags"
+
+
 def test_run_keeps_each_value_until_its_last_reader(demo_cfg, monkeypatch, tmp_path):
     """Recorded through files, so the stages stepped in the forked child count too."""
     held_log, kept_log = tmp_path / "held.jsonl", tmp_path / "kept.jsonl"
     for name, run in list(pipeline._STAGES.items()):
 
-        def recorded(cfg, bundle, run=run):
-            run(cfg, bundle)
+        def recorded(cfg, bundle, run=run, **inputs):
+            run(cfg, bundle, **inputs)
             append_record(held_log, sorted(bundle._held))  # all held once the stage has run, before its step drops any
 
         monkeypatch.setitem(pipeline._STAGES, name, recorded)
@@ -122,9 +149,9 @@ def test_run_steps_the_forked_stages_in_one_child(demo_cfg, monkeypatch, tmp_pat
     log = tmp_path / "pids.jsonl"
     for name, run in list(pipeline._STAGES.items()):
 
-        def recorded(cfg, bundle, run=run, name=name):
+        def recorded(cfg, bundle, run=run, name=name, **inputs):
             append_record(log, [name, os.getpid()])
-            run(cfg, bundle)
+            run(cfg, bundle, **inputs)
 
         monkeypatch.setitem(pipeline._STAGES, name, recorded)
     run_pipeline(demo_cfg)

@@ -312,16 +312,16 @@ def oracle_gexf(net: CommNetwork) -> str:
 
 
 def oracle_dot(net: CommNetwork) -> str:
-    """The DOT export: each name quoted with a backslash before every ``"``
-    and ``\\``, nodes sorted with their stance when they have one, then the
-    edges sorted with their weights."""
+    """The DOT export: each name and stance quoted with a backslash before
+    every ``"`` and ``\\``, nodes sorted with their stance when they have one,
+    then the edges sorted with their weights."""
     def quote(name: str) -> str:
         return '"' + re.sub(r'(["\\])', r"\\\1", name) + '"'
 
     out = ["digraph " + net.kind.value + " {\n"]
     for node in sorted(net.nodes):
         stance = net.node_attr.get(node, "")
-        out.append("  " + quote(node) + (' [stance="' + stance + '"]' if stance else "") + ";\n")
+        out.append("  " + quote(node) + (" [stance=" + quote(stance) + "]" if stance else "") + ";\n")
     for (src, dst), w in sorted(net.edges.items()):
         out.append("  " + quote(src) + " -> " + quote(dst) + " [weight=" + str(w) + "];\n")
     return "".join(out) + "}\n"
