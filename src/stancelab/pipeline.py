@@ -491,9 +491,10 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
         if tweets is not None:
             tweets.append(t)
 
+    views_of: dict = {}  # a text both groups posted is tokenized once
     for group, tweets in by_group.items():
         # Frequencies are counts, so the pooled documents give the same report.
-        views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user)
+        views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user, views_of=views_of)
         frequencies = unigram_frequencies(views[cfg.frequencies_include_hashtags], cfg.top_n_words)
         write_frequency_csv(frequencies, bundle.file(FREQUENCIES_FILE.format(group.value)))
 

@@ -10,13 +10,15 @@ identical inputs and seeds give identical assignments.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
-from itertools import accumulate
-from operator import mul, truediv
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -96,18 +98,22 @@ def tokenize(
     stopwords: frozenset[str],
     *,
     pool_by_user: bool = False,
+    views_of: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None = None,
 ) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     """The documents without hashtags and the documents with them, from one
     pass per distinct text: one TokenizedDoc per tweet in corpus order (empty
     docs included; the LDA fit drops them).  Each distinct text is tokenized
     once, so a retweet, which copies its original's text, costs a lookup.
+    ``views_of`` maps each text to its ``tokenize_text_both`` result; pass
+    one dict to several calls (with the same stop words) to share it.
 
     ``pool_by_user`` concatenates each author's tweets into a single document
     (doc_id = user_id, first-author order), which helps topic models cope
     with very short messages.
     """
     tweets = corpus.tweets if isinstance(corpus, Corpus) else corpus
-    views_of: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    if views_of is None:
+        views_of = {}
     docs = []
     for t in tweets:
         views = views_of.get(t.text)
@@ -131,10 +137,7 @@ def unigram_frequencies(docs: Sequence[TokenizedDoc], top_n: int) -> list[tuple[
     """Descending (term, count) list, ties broken lexicographically."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    counts: dict[str, int] = {}
-    for doc in docs:
-        for token in doc.tokens:
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(chain.from_iterable(doc.tokens for doc in docs))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:top_n]
 
@@ -182,8 +185,15 @@ def lda_fit(
     from topic 0, as ``np.cumsum`` does, and the new topic is the first whose
     cumulative weight exceeds ``u * total`` (``side="right"``), clamped to
     k - 1.  The sweeps run on Python lists, which cost far less per element
-    than NumPy scalar access; with no sweeps the arrays are used as they are.
-    Cost grows with tokens x iterations x k.
+    than NumPy scalar access.  Each sweep is one call of a function compiled
+    for this k on the first sweep and cached on k: it computes weight t as
+    ``r_t * c_t / T_t`` from locals unpacked from the three count + prior
+    rows, adds them up as ``s_t = s_{t-1} + w_t`` and bisects the tuple of
+    the ``s_t``, which are the same IEEE operations in the same order as the
+    reference, so every cumulative weight keeps its bits.  With no sweeps no
+    function is compiled and the count arrays are used as they are; they
+    are built with ``np.bincount``, giving the same integers as the
+    reference's ``np.add.at``.  Cost grows with tokens x iterations x k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -213,12 +223,9 @@ def lda_fit(
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, size=n_tokens)
 
-    n_dt = np.zeros((n_docs, k), dtype=np.int64)
-    n_tw = np.zeros((k, n_vocab), dtype=np.int64)
-    n_t = np.zeros(k, dtype=np.int64)
-    np.add.at(n_dt, (token_doc, z), 1)
-    np.add.at(n_tw, (z, token_word), 1)
-    np.add.at(n_t, z, 1)
+    n_dt = np.bincount(token_doc * k + z, minlength=n_docs * k).reshape(n_docs, k).astype(np.int64, copy=False)
+    n_tw = np.bincount(z * n_vocab + token_word, minlength=k * n_vocab).reshape(k, n_vocab).astype(np.int64, copy=False)
+    n_t = np.bincount(z, minlength=k).astype(np.int64, copy=False)
 
     v_beta = n_vocab * beta
     if iterations:
@@ -248,9 +255,10 @@ def _gibbs_sweeps(n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta
     ``doc_rows[d][t]`` is ``n_dt[d, t]`` and ``word_cols[w][t]`` is
     ``n_tw[t, w]``, so a token update touches one row of each.  Every count
     table has a float twin holding count + prior (``doc_plus[d][t]`` is
-    ``n_dt[d, t] + alpha``), set from the integer whenever the count moves,
-    so the k weights are one ``map`` of multiply and divide over the twins
-    with the same operands as the formula.
+    ``n_dt[d, t] + alpha``), set from the integer whenever the count moves.
+    Each sweep is one call of the kernel ``_sweep_kernel`` generates for k,
+    which unpacks a token's three twin rows into locals and writes the k
+    weights and their running sum as straight-line code.
     """
     doc_rows = n_dt.tolist()
     word_cols = n_tw.T.tolist()
@@ -262,39 +270,73 @@ def _gibbs_sweeps(n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta
         (doc_rows[d], doc_plus[d], word_cols[w], word_plus[w]) for d, w in zip(token_doc.tolist(), token_word.tolist())
     ]
     topic_of = z.tolist()
-    last = len(totals) - 1
+    sweep = _sweep_kernel(len(totals))
     for _ in range(iterations):
-        for i, u in enumerate(rng.random(len(topic_of)).tolist()):
-            row, row_plus, col, col_plus = tables[i]
-            t = topic_of[i]
-            n = row[t] - 1
-            row[t] = n
-            row_plus[t] = n + alpha
-            n = col[t] - 1
-            col[t] = n
-            col_plus[t] = n + beta
-            n = totals[t] - 1
-            totals[t] = n
-            totals_plus[t] = n + v_beta
-            cum = list(accumulate(map(truediv, map(mul, row_plus, col_plus), totals_plus)))
-            t = bisect_right(cum, u * cum[-1])
-            if t > last:  # guard against the draw landing exactly on the total
-                t = last
-            topic_of[i] = t
-            n = row[t] + 1
-            row[t] = n
-            row_plus[t] = n + alpha
-            n = col[t] + 1
-            col[t] = n
-            col_plus[t] = n + beta
-            n = totals[t] + 1
-            totals[t] = n
-            totals_plus[t] = n + v_beta
+        sweep(tables, topic_of, totals, totals_plus, rng.random(len(topic_of)).tolist(), alpha, beta, v_beta)
     return (
         np.array(doc_rows, dtype=np.int64),
         np.ascontiguousarray(np.array(word_cols, dtype=np.int64).T),
         np.array(totals, dtype=np.int64),
     )
+
+
+# One sweep; _sweep_kernel fills in {weights}, the k weights and their
+# running sum, and {last} = k - 1.
+_SWEEP_SOURCE = """\
+def sweep(tables, topic_of, totals, totals_plus, uniforms, alpha, beta, v_beta):
+    for i, u in enumerate(uniforms):
+        row, row_plus, col, col_plus = tables[i]
+        t = topic_of[i]
+        n = row[t] - 1
+        row[t] = n
+        row_plus[t] = n + alpha
+        n = col[t] - 1
+        col[t] = n
+        col_plus[t] = n + beta
+        n = totals[t] - 1
+        totals[t] = n
+        totals_plus[t] = n + v_beta
+{weights}
+        if t > {last}:  # guard against the draw landing exactly on the total
+            t = {last}
+        topic_of[i] = t
+        n = row[t] + 1
+        row[t] = n
+        row_plus[t] = n + alpha
+        n = col[t] + 1
+        col[t] = n
+        col_plus[t] = n + beta
+        n = totals[t] + 1
+        totals[t] = n
+        totals_plus[t] = n + v_beta
+"""
+
+
+@cache
+def _sweep_kernel(k):
+    """One Gibbs sweep over every token, compiled for ``k`` topics.
+
+    The three twin rows are unpacked into locals ``r{t}``, ``c{t}`` and
+    ``T{t}``.  Weight t is ``r{t} * c{t} / T{t}`` and ``s{t} = s{t-1} +
+    weight t``, so the cumulative weights are the same IEEE operations in the
+    same order as ``np.cumsum`` over the NumPy formula.  The new topic is
+    ``bisect_right((s0, ..., s{k-1}), u * s{k-1})`` clamped to k - 1;
+    ``bisect_right`` is read from this module's globals at each update.
+    Only integers from ``range(k)`` enter the source.
+    """
+    topics = range(operator.index(k))
+    last = topics[-1]
+    weights = [
+        f"        {', '.join(f'{name}{t}' for t in topics)}, = {row}"
+        for name, row in (("r", "row_plus"), ("c", "col_plus"), ("T", "totals_plus"))
+    ]
+    weights.append("        s0 = r0 * c0 / T0")
+    weights += [f"        s{t} = s{t - 1} + r{t} * c{t} / T{t}" for t in topics[1:]]
+    weights.append(f"        t = bisect_right(({''.join(f's{t}, ' for t in topics)}), u * s{last})")
+    source = _SWEEP_SOURCE.format(weights="\n".join(weights), last=last)
+    namespace: dict = {}
+    exec(compile(source, f"<gibbs sweep k={last + 1}>", "exec"), globals(), namespace)
+    return namespace["sweep"]
 
 
 def top_words(

@@ -21,7 +21,7 @@ from stancelab.textlab import (
     write_frequency_csv,
     write_topics_json,
 )
-from util import make_corpus, make_tweet, oracle_lda_fit, oracle_tokenize_text
+from util import make_corpus, make_tweet, oracle_lda_fit, oracle_tokenize_text, oracle_unigram_frequencies
 
 
 def doc(doc_id, *tokens):
@@ -101,6 +101,15 @@ class TestFrequencies:
     def test_top_n_validation(self):
         with pytest.raises(ValueError):
             unigram_frequencies([], 0)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(("a", "b", "B", "ab", "é", "e\u0301", "z")), max_size=8), max_size=6),
+        st.integers(1, 10),
+    )
+    @example([["a", "b"], ["b", "a", "z"]], 10)  # ties, and top_n above the vocabulary
+    def test_matches_the_dict_counting_oracle(self, token_lists, top_n):
+        docs = [doc(f"d{i}", *tokens) for i, tokens in enumerate(token_lists)]
+        assert unigram_frequencies(docs, top_n) == oracle_unigram_frequencies(docs, top_n)
 
 
 class TestLdaFit:
@@ -263,6 +272,27 @@ def test_tokenize_repeated_texts_gives_the_docs_of_one_call_per_tweet(distinct, 
         ]
 
 
+@given(
+    st.lists(texts, min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), max_size=6),
+    st.lists(st.integers(0, 2), max_size=6),
+)
+def test_tokenize_calls_sharing_views_tokenize_each_text_once(distinct, first, second):
+    """Two groups' calls with one ``views_of`` dict tokenize a text both
+    groups posted once, and each call gives the docs it gives alone."""
+    groups = [[distinct[i % len(distinct)] for i in picks] for picks in (first, second)]
+    corpora = [
+        make_corpus(*(make_tweet(f"t{g}_{i}", f"u{g}", text=text) for i, text in enumerate(chosen)))
+        for g, chosen in enumerate(groups)
+    ]
+    alone = [tokenize(corpus, STOPS) for corpus in corpora]
+    views_of: dict = {}
+    with patch.object(textlab, "tokenize_text_both", wraps=textlab.tokenize_text_both) as spy:
+        shared = [tokenize(corpus, STOPS, views_of=views_of) for corpus in corpora]
+    assert spy.call_count == len(set(groups[0]) | set(groups[1]))
+    assert shared == alone
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2024])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_vector_uniforms_equal_scalar_draws(seed, n):
@@ -282,6 +312,10 @@ lda_docs = st.lists(st.lists(st.sampled_from(("w0", "w1", "w2", "w3", "w4", "w5"
     iterations=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# Each topic count gets its own generated sweep; these reach past the strategy's 1..9.
+@example(docs=[["w0", "w1", "w0"], ["w2"], []], k=1, alpha=None, beta=0.01, iterations=4, seed=7)
+@example(docs=[["w0", "w1", "w2", "w3", "w4", "w5"] * 2, ["w5", "w4"]], k=10, alpha=0.1, beta=0.5, iterations=5, seed=11)
+@example(docs=[["w0", "w1", "w2", "w3", "w4", "w5"] * 3, ["w1", "w3"] * 4], k=40, alpha=None, beta=0.01, iterations=3, seed=2**32 - 1)
 def test_lda_fit_matches_numpy_sampler(docs, k, alpha, beta, iterations, seed):
     """Same counts, and the same cumulative weights and search point at every
     token update: a last-bit change in a weight rarely moves a topic, so the
@@ -303,3 +337,20 @@ def test_lda_fit_matches_numpy_sampler(docs, k, alpha, beta, iterations, seed):
     assert draws == expected_draws
     assert np.array_equal(model.phi, phi)
     assert np.array_equal(model.theta, theta)
+
+
+def test_each_topic_count_builds_one_sweep_kernel_when_it_first_sweeps():
+    docs = [doc("d1", "w", "v", "w"), doc("d2", "v", "u")]
+    textlab._sweep_kernel.cache_clear()
+    lda_fit(docs, k=2, iterations=0, seed=0)
+    assert textlab._sweep_kernel.cache_info().currsize == 0
+    lda_fit(docs, k=2, iterations=3, seed=1)
+    lda_fit(docs, k=2, iterations=1, seed=2)
+    info = textlab._sweep_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("k", [2.5, "3", "1): pass\nimport os\n(2"])
+def test_sweep_kernel_takes_only_an_integer_topic_count(k):
+    with pytest.raises(TypeError):
+        textlab._sweep_kernel(k)

@@ -620,6 +620,17 @@ def oracle_lda_fit(docs, k: int, *, alpha: float | None = None, beta: float = 0.
     return phi, theta
 
 
+def oracle_unigram_frequencies(docs, top_n: int) -> list[tuple[str, int]]:
+    """``textlab.unigram_frequencies`` as a dict-counting loop (the code it
+    had before it counted with ``collections.Counter``)."""
+    counts: dict[str, int] = {}
+    for doc in docs:
+        for token in doc.tokens:
+            counts[token] = counts.get(token, 0) + 1
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:top_n]
+
+
 def oracle_tokenize_text(text: str, stopwords: frozenset[str], include_hashtags: bool = False) -> tuple[str, ...]:
     """One token sequence per call, with its own URL, mention and hashtag
     pass (the tokenizer ``textlab`` had before ``tokenize_text_both``)."""
