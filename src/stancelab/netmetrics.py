@@ -105,6 +105,13 @@ def eigenvector_centrality(
     component and other nodes tend to 0.  The result is L2-normalized.
     When ``max_iter`` steps end with the last step's largest change still at
     or above ``tol``, it logs a warning and returns the last iterate.
+
+    An acyclic graph with edges (found by Kahn's algorithm) makes A
+    nilpotent, so A + I has the single eigenvalue 1 and the iterates creep
+    towards their limit at O(1/k).  That limit is A^L * 1 normalized, where
+    L is the number of edges on a longest path; it is returned directly, as
+    L steps of A normalized at each step, with no warning.  On the star
+    ``X -> a..e`` X scores 1.0 and every leaf 0.0.
     """
     order = sorted(net.nodes)
     n = len(order)
@@ -112,11 +119,19 @@ def eigenvector_centrality(
         return {}
     index = {node: i for i, node in enumerate(order)}
     items = net.sorted_edges()
-    rows = np.array([index[a] for a, _, _ in items], dtype=np.intp)
-    cols = np.array([index[b] for _, b, _ in items], dtype=np.intp)
+    sources = [index[a] for a, _, _ in items]
+    targets = [index[b] for _, b, _ in items]
+    longest = _longest_path(n, sources, targets)
+    rows = np.array(sources, dtype=np.intp)
+    cols = np.array(targets, dtype=np.intp)
     weights = np.array([w for _, _, w in items], dtype=np.float64)
 
     vec = np.full(n, 1.0 / np.sqrt(n))
+    if items and longest is not None:
+        for _ in range(longest):
+            vec = np.bincount(rows, weights * vec[cols], minlength=n)
+            vec /= np.linalg.norm(vec)
+        return {node: float(vec[index[node]]) for node in order}
     step = float("inf")
     for _ in range(max_iter):
         nxt = vec.copy()
@@ -133,6 +148,27 @@ def eigenvector_centrality(
             max_iter, n, step, tol,
         )
     return {node: float(vec[index[node]]) for node in order}
+
+
+def _longest_path(n: int, sources: list[int], targets: list[int]) -> int | None:
+    """Edges on a longest path of the graph with edges sources[e] ->
+    targets[e] over nodes 0..n-1, or None when it has a cycle (Kahn's
+    algorithm: a cycle keeps some node's in-degree above 0)."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    for a, b in zip(sources, targets):
+        succ[a].append(b)
+        indegree[b] += 1
+    depth = [0] * n
+    ready = [v for v in range(n) if not indegree[v]]
+    for v in ready:  # grows as nodes lose their last incoming edge
+        for w in succ[v]:
+            if depth[w] <= depth[v]:
+                depth[w] = depth[v] + 1
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return max(depth) if len(ready) == n else None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import math
 import operator
 import re
 import warnings
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -188,12 +187,17 @@ def lda_fit(
     than NumPy scalar access.  Each sweep is one call of a function compiled
     for this k on the first sweep and cached on k: it computes weight t as
     ``r_t * c_t / T_t`` from locals unpacked from the three count + prior
-    rows, adds them up as ``s_t = s_{t-1} + w_t`` and bisects the tuple of
-    the ``s_t``, which are the same IEEE operations in the same order as the
-    reference, so every cumulative weight keeps its bits.  With no sweeps no
-    function is compiled and the count arrays are used as they are; they
-    are built with ``np.bincount``, giving the same integers as the
-    reference's ``np.add.at``.  Cost grows with tokens x iterations x k.
+    rows, adds them up as ``s_t = s_{t-1} + w_t``, which are the same IEEE
+    operations in the same order as the reference, so every cumulative
+    weight keeps its bits.  A tree of ``x < s_mid`` comparisons, halving
+    0..k as ``bisect_right`` does, picks the new topic; its last leaf is the
+    clamp.  The count + prior values always equal count + prior: an update
+    that keeps its topic (most of them, once the topics settle) puts back
+    the three values it set aside and changes no count, and one that moves
+    updates both topics' counts and values.  With no sweeps no function is
+    compiled and the count arrays are used as they are; they are built with
+    ``np.bincount``, giving the same integers as the reference's
+    ``np.add.at``.  Cost grows with tokens x iterations x k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -255,10 +259,12 @@ def _gibbs_sweeps(n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta
     ``doc_rows[d][t]`` is ``n_dt[d, t]`` and ``word_cols[w][t]`` is
     ``n_tw[t, w]``, so a token update touches one row of each.  Every count
     table has a float twin holding count + prior (``doc_plus[d][t]`` is
-    ``n_dt[d, t] + alpha``), set from the integer whenever the count moves.
-    Each sweep is one call of the kernel ``_sweep_kernel`` generates for k,
-    which unpacks a token's three twin rows into locals and writes the k
-    weights and their running sum as straight-line code.
+    ``n_dt[d, t] + alpha``), set from the integer whenever the count moves,
+    so between updates each twin value equals its count + prior.  Each sweep
+    is one call of the kernel ``_sweep_kernel`` generates for k, which
+    unpacks a token's three twin rows into locals, writes the k weights and
+    their running sum as straight-line code and picks the new topic with a
+    comparison tree; a token that keeps its topic changes no count.
     """
     doc_rows = n_dt.tolist()
     word_cols = n_tw.T.tolist()
@@ -280,50 +286,47 @@ def _gibbs_sweeps(n_dt, n_tw, n_t, z, token_doc, token_word, alpha, beta, v_beta
     )
 
 
-# One sweep; _sweep_kernel fills in {weights}, the k weights and their
-# running sum, and {last} = k - 1.
+# One sweep; _sweep_source fills in {weights}, the k weights and their
+# running sum, {last} = k - 1, and {tree}, the comparisons that pick the new
+# topic.
 _SWEEP_SOURCE = """\
 def sweep(tables, topic_of, totals, totals_plus, uniforms, alpha, beta, v_beta):
     for i, u in enumerate(uniforms):
         row, row_plus, col, col_plus = tables[i]
         t = topic_of[i]
-        n = row[t] - 1
-        row[t] = n
-        row_plus[t] = n + alpha
-        n = col[t] - 1
-        col[t] = n
-        col_plus[t] = n + beta
-        n = totals[t] - 1
-        totals[t] = n
-        totals_plus[t] = n + v_beta
+        kept_row = row_plus[t]
+        kept_col = col_plus[t]
+        kept_total = totals_plus[t]
+        row_plus[t] = row[t] - 1 + alpha
+        col_plus[t] = col[t] - 1 + beta
+        totals_plus[t] = totals[t] - 1 + v_beta
 {weights}
-        if t > {last}:  # guard against the draw landing exactly on the total
-            t = {last}
-        topic_of[i] = t
-        n = row[t] + 1
-        row[t] = n
-        row_plus[t] = n + alpha
-        n = col[t] + 1
-        col[t] = n
-        col_plus[t] = n + beta
-        n = totals[t] + 1
-        totals[t] = n
-        totals_plus[t] = n + v_beta
+        x = u * s{last}
+{tree}
+        if new == t:
+            row_plus[t] = kept_row
+            col_plus[t] = kept_col
+            totals_plus[t] = kept_total
+            continue
+        topic_of[i] = new
+        row[t] -= 1
+        col[t] -= 1
+        totals[t] -= 1
+        n = row[new] + 1
+        row[new] = n
+        row_plus[new] = n + alpha
+        n = col[new] + 1
+        col[new] = n
+        col_plus[new] = n + beta
+        n = totals[new] + 1
+        totals[new] = n
+        totals_plus[new] = n + v_beta
 """
 
 
-@cache
-def _sweep_kernel(k):
-    """One Gibbs sweep over every token, compiled for ``k`` topics.
-
-    The three twin rows are unpacked into locals ``r{t}``, ``c{t}`` and
-    ``T{t}``.  Weight t is ``r{t} * c{t} / T{t}`` and ``s{t} = s{t-1} +
-    weight t``, so the cumulative weights are the same IEEE operations in the
-    same order as ``np.cumsum`` over the NumPy formula.  The new topic is
-    ``bisect_right((s0, ..., s{k-1}), u * s{k-1})`` clamped to k - 1;
-    ``bisect_right`` is read from this module's globals at each update.
-    Only integers from ``range(k)`` enter the source.
-    """
+def _sweep_source(k):
+    """The source of ``_sweep_kernel(k)``; only integers from ``range(k)``
+    enter it."""
     topics = range(operator.index(k))
     last = topics[-1]
     weights = [
@@ -332,10 +335,40 @@ def _sweep_kernel(k):
     ]
     weights.append("        s0 = r0 * c0 / T0")
     weights += [f"        s{t} = s{t - 1} + r{t} * c{t} / T{t}" for t in topics[1:]]
-    weights.append(f"        t = bisect_right(({''.join(f's{t}, ' for t in topics)}), u * s{last})")
-    source = _SWEEP_SOURCE.format(weights="\n".join(weights), last=last)
+
+    def tree(lo, hi, indent):
+        # The new topic is the count of s{t} <= x, in lo..hi; hi = k means
+        # none is above x, which the leaf clamps to k - 1.
+        if lo == hi:
+            return [f"{indent}new = {min(lo, last)}"]
+        mid = (lo + hi) // 2
+        deeper = indent + "    "
+        return [f"{indent}if x < s{mid}:", *tree(lo, mid, deeper), f"{indent}else:", *tree(mid + 1, hi, deeper)]
+
+    return _SWEEP_SOURCE.format(weights="\n".join(weights), last=last, tree="\n".join(tree(0, last + 1, "        ")))
+
+
+@cache
+def _sweep_kernel(k):
+    """One Gibbs sweep over every token, compiled for ``k`` topics.
+
+    An update first saves the old topic's three count + prior values and
+    writes the values less this token (``row[t] - 1 + alpha`` and so on).
+    The three twin rows are unpacked into locals ``r{t}``, ``c{t}`` and
+    ``T{t}``.  Weight t is ``r{t} * c{t} / T{t}`` and ``s{t} = s{t-1} +
+    weight t``, so the cumulative weights are the same IEEE operations in the
+    same order as ``np.cumsum`` over the NumPy formula.  With ``x = u *
+    s{k-1}``, a tree of ``if x < s{mid}:`` tests halving ``0..k`` as
+    ``bisect_right`` does gives the count of ``s{t} <= x``, which is
+    ``bisect_right``'s index; the leaf for k gives k - 1, the clamp.  An
+    update that keeps its topic writes the three saved values back and
+    touches no integer count; one that moves takes one from each old count
+    and adds one to each new count, setting its twin.  Either way every
+    twin value equals its integer + prior, bit for bit.
+    """
+    source = _sweep_source(k)
     namespace: dict = {}
-    exec(compile(source, f"<gibbs sweep k={last + 1}>", "exec"), globals(), namespace)
+    exec(compile(source, f"<gibbs sweep k={operator.index(k)}>", "exec"), namespace)
     return namespace["sweep"]
 
 

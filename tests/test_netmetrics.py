@@ -1,7 +1,10 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from stancelab import netmetrics
 from stancelab.commnet import CommNetwork, NetworkKind, build_network, reciprocal_subnetwork
 from stancelab.netmetrics import (
     EchoResult,
@@ -17,6 +20,7 @@ from stancelab.netmetrics import (
 from util import (
     make_corpus,
     make_tweet,
+    oracle_acyclic_centrality,
     oracle_density,
     oracle_eigencentrality,
     oracle_reciprocity,
@@ -190,6 +194,33 @@ class TestEigenvectorCentrality:
         caplog.clear()
         with caplog.at_level("WARNING", logger="stancelab.netmetrics"):
             eigenvector_centrality(net)
+        assert caplog.records == []
+
+
+    @given(
+        n=st.integers(2, 9),
+        edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 9)), min_size=1, max_size=24),
+    )
+    def test_acyclic_graphs_give_the_normalized_longest_power(self, n, edges):
+        """An edge from the lower to the higher node index keeps the graph
+        acyclic; the result is A^L * 1 normalized, with no warning."""
+        net = CommNetwork(kind=NetworkKind.INFLUENCE_BASE)
+        net.nodes.update(f"n{i}" for i in range(n))
+        for a, b, w in edges:
+            a, b = a % n, b % n
+            if a != b:
+                net.edges[(f"n{min(a, b)}", f"n{max(a, b)}")] = w
+        assume(net.edges)
+        with patch.object(netmetrics.logger, "warning") as warning:
+            scores = eigenvector_centrality(net)
+        nodes, expected = oracle_acyclic_centrality(net)
+        assert np.allclose([scores[node] for node in nodes], expected, rtol=1e-12, atol=1e-15)
+        warning.assert_not_called()
+
+    def test_star_center_takes_all_the_weight(self, caplog):
+        with caplog.at_level("WARNING", logger="stancelab.netmetrics"):
+            scores = eigenvector_centrality(star_base())
+        assert scores == {"X": 1.0, **{f"fan{i}": 0.0 for i in range(5)}}
         assert caplog.records == []
 
 

@@ -1,7 +1,8 @@
 import json
 import math
+import sys
 import warnings
-from bisect import bisect_right
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -21,7 +22,7 @@ from stancelab.textlab import (
     write_frequency_csv,
     write_topics_json,
 )
-from util import make_corpus, make_tweet, oracle_lda_fit, oracle_tokenize_text, oracle_unigram_frequencies
+from util import make_corpus, make_tweet, oracle_lda_fit, oracle_sweep, oracle_tokenize_text, oracle_unigram_frequencies
 
 
 def doc(doc_id, *tokens):
@@ -301,6 +302,33 @@ def test_vector_uniforms_equal_scalar_draws(seed, n):
     assert np.array_equal(np.random.default_rng(seed).random(n), np.array([scalar.random() for _ in range(n)]))
 
 
+@contextmanager
+def tracing_sweep_draws(k, draws):
+    """Append ``([s0, ..., s{k-1}], x)`` to ``draws`` for every token update
+    of the generated sweep for ``k``: a line tracer over the function named
+    ``<gibbs sweep k=...>`` reads the cumulative weights and the search point
+    from its locals on the line after the comparison tree."""
+    after_tree = textlab._sweep_source(k).splitlines().index("        if new == t:") + 1
+    names = [f"s{t}" for t in range(k)]
+    filename = f"<gibbs sweep k={k}>"
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == after_tree:
+            values = frame.f_locals
+            draws.append(([values[name] for name in names], values["x"]))
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
 lda_docs = st.lists(st.lists(st.sampled_from(("w0", "w1", "w2", "w3", "w4", "w5")), max_size=12), min_size=1, max_size=6)
 
 
@@ -322,12 +350,7 @@ def test_lda_fit_matches_numpy_sampler(docs, k, alpha, beta, iterations, seed):
     floats are compared too."""
     docs = [doc(f"d{i}", *tokens) for i, tokens in enumerate(docs)]
     draws = []
-
-    def recording_bisect(cum, point):
-        draws.append((list(cum), point))
-        return bisect_right(cum, point)
-
-    with warnings.catch_warnings(record=True) as caught, patch.object(textlab, "bisect_right", recording_bisect):
+    with warnings.catch_warnings(record=True) as caught, tracing_sweep_draws(k, draws):
         warnings.simplefilter("always")
         model = lda_fit(docs, k, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
     assert bool(caught) == (k > len(model.vocab))
@@ -354,3 +377,82 @@ def test_each_topic_count_builds_one_sweep_kernel_when_it_first_sweeps():
 def test_sweep_kernel_takes_only_an_integer_topic_count(k):
     with pytest.raises(TypeError):
         textlab._sweep_kernel(k)
+
+
+# Priors that underflow every weight to 0 (5e-324), make them subnormal
+# (3e-162), or overflow them to inf (1e300) send the search point to or past
+# the last cumulative weight, where only the clamp leaf applies.
+sweep_priors = st.one_of(st.floats(1e-3, 50.0), st.sampled_from((5e-324, 3e-162, 1e300)))
+
+
+@given(
+    k=st.integers(1, 12),
+    tokens=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16)), min_size=1, max_size=20),
+    alpha=sweep_priors,
+    beta=sweep_priors,
+    uniforms=st.lists(st.one_of(st.sampled_from((0.0, 1 - 2**-53)), st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=12),
+    sweeps=st.integers(1, 4),
+)
+# One token alone in its doc and word: with the 5e-324 priors every weight
+# less the token is 0, and with 3e-162 every weight is the same subnormal,
+# which 1 - 2**-53 times the total leaves unchanged.
+@example(k=40, tokens=[(0, 0, 5), (1, 1, 7), (1, 2, 39), (2, 3, 7)] * 3 + [(3, 4, 12)], alpha=5e-324, beta=5e-324, uniforms=[0.0, 0.5, 1 - 2**-53], sweeps=3)
+@example(k=2, tokens=[(0, 0, 0), (1, 1, 0), (2, 2, 1)], alpha=3e-162, beta=3e-162, uniforms=[1 - 2**-53], sweeps=2)
+@example(k=1000, tokens=[(d % 4, d % 5, d * 97) for d in range(20)], alpha=0.05, beta=0.01, uniforms=[0.0, 0.25, 0.999, 1 - 2**-53], sweeps=3)
+def test_sweep_kernel_keeps_counts_twins_and_topics(k, tokens, alpha, beta, uniforms, sweeps):
+    """The generated sweep, called on list tables: after each sweep every
+    count + prior value is its integer + prior, the counts are a recount of
+    the topics, and the topics are those of a ``bisect_right`` reference."""
+    run_sweeps(k, tokens, alpha, beta, uniforms, sweeps)
+
+
+@pytest.mark.parametrize(
+    "k, tokens, prior, u",
+    [(3, [(0, 0, 2)], 5e-324, 0.0), (2, [(0, 0, 0), (1, 1, 0), (2, 2, 1)], 3e-162, 1 - 2**-53), (4, [(0, 0, 1), (1, 1, 3)], 1e300, 0.5)],
+)
+def test_the_clamp_leaf_is_reached(k, tokens, prior, u):
+    """Weights of 0, equal subnormals and inf each send ``bisect_right`` past
+    the last cumulative weight; the kernel's clamp leaf gives k - 1 there."""
+    assert run_sweeps(k, tokens, prior, prior, [u], 1) > 0
+
+
+def run_sweeps(k, tokens, alpha, beta, uniforms, sweeps):
+    """Run ``_sweep_kernel(k)`` and ``oracle_sweep`` side by side on the
+    (doc, word, topic seed) tokens, with the uniforms taken in turn, checking
+    the tables after each sweep; return the reference's clamped updates."""
+    token_doc = [d for d, _, _ in tokens]
+    token_word = [w for _, w, _ in tokens]
+    topic_of = [t % k for _, _, t in tokens]
+    n_docs, n_words, n = max(token_doc) + 1, max(token_word) + 1, len(tokens)
+    v_beta = n_words * beta
+
+    def recount(keys, size):
+        table = [[0] * k for _ in range(size)]
+        for key, t in zip(keys, topic_of):
+            table[key][t] += 1
+        return table
+
+    def counts():
+        return recount(token_doc, n_docs), recount(token_word, n_words), [topic_of.count(t) for t in range(k)]
+
+    doc_rows, word_cols, totals = counts()
+    doc_plus = [[c + alpha for c in row] for row in doc_rows]
+    word_plus = [[c + beta for c in col] for col in word_cols]
+    totals_plus = [c + v_beta for c in totals]
+    tables = [(doc_rows[d], doc_plus[d], word_cols[w], word_plus[w]) for d, w in zip(token_doc, token_word)]
+    ref_topics = list(topic_of)
+    ref_dt, ref_wt, ref_t = counts()
+
+    sweep = textlab._sweep_kernel(k)
+    clamped = 0
+    for s in range(sweeps):
+        draws = [uniforms[(s * n + i) % len(uniforms)] for i in range(n)]
+        sweep(tables, topic_of, totals, totals_plus, draws, alpha, beta, v_beta)
+        clamped += oracle_sweep(k, token_doc, token_word, ref_topics, ref_dt, ref_wt, ref_t, draws, alpha, beta, v_beta)
+        assert topic_of == ref_topics
+        assert (doc_rows, word_cols, totals) == counts()
+        # No count + prior value is 0 or NaN, so == compares the bits.
+        assert doc_plus == [[c + alpha for c in row] for row in doc_rows]
+        assert word_plus == [[c + beta for c in col] for col in word_cols]
+        assert totals_plus == [c + v_beta for c in totals]
+    return clamped

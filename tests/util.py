@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from datetime import datetime
+from itertools import accumulate
 
 import numpy as np
 
@@ -392,6 +394,22 @@ def oracle_eigencentrality(net: CommNetwork) -> tuple[list[str], np.ndarray]:
     return nodes, vec
 
 
+def oracle_acyclic_centrality(net: CommNetwork) -> tuple[list[str], np.ndarray]:
+    """A^L * 1, L2-normalized, on an acyclic graph with edges: the dense
+    adjacency's ``np.linalg.matrix_power`` at the largest L that leaves it
+    nonzero (the number of edges on a longest path).  Nodes in sorted order."""
+    nodes = sorted(net.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    a = np.zeros((len(nodes), len(nodes)))
+    for (x, y), w in net.edges.items():
+        a[index[x], index[y]] = w
+    power = 1
+    while np.linalg.matrix_power(a, power + 1).any():
+        power += 1
+    vec = np.linalg.matrix_power(a, power) @ np.ones(len(nodes))
+    return nodes, vec / np.linalg.norm(vec)
+
+
 def oracle_top_k(scores: dict[str, float], k: int) -> set[str]:
     """Accounts scoring at least the k-th largest score, ties included
     (every account when there are fewer than k)."""
@@ -618,6 +636,31 @@ def oracle_lda_fit(docs, k: int, *, alpha: float | None = None, beta: float = 0.
     phi = (n_tw + beta) / (n_t + v_beta)[:, None]
     theta = (n_dt + alpha) / (n_dt.sum(axis=1) + k * alpha)[:, None]
     return phi, theta
+
+
+def oracle_sweep(k: int, token_doc, token_word, topic_of, n_dt, n_wt, n_t, uniforms, alpha: float, beta: float, v_beta: float) -> int:
+    """One Gibbs sweep as ``textlab`` ran it before its generated kernel:
+    integer count tables only (``n_dt[d][t]``, ``n_wt[w][t]``, ``n_t[t]``,
+    updated in place, as is ``topic_of``), each weight computed from the
+    counts, ``itertools.accumulate`` for the running sum and ``bisect_right``
+    for the new topic.  Returns the number of updates clamped to k - 1
+    because no cumulative weight was above the search point."""
+    clamped = 0
+    for i, u in enumerate(uniforms):
+        d, w, t = token_doc[i], token_word[i], topic_of[i]
+        n_dt[d][t] -= 1
+        n_wt[w][t] -= 1
+        n_t[t] -= 1
+        cum = list(accumulate((n_dt[d][j] + alpha) * (n_wt[w][j] + beta) / (n_t[j] + v_beta) for j in range(k)))
+        t = bisect_right(cum, u * cum[-1])
+        if t == k:
+            clamped += 1
+            t = k - 1
+        topic_of[i] = t
+        n_dt[d][t] += 1
+        n_wt[w][t] += 1
+        n_t[t] += 1
+    return clamped
 
 
 def oracle_unigram_frequencies(docs, top_n: int) -> list[tuple[str, int]]:
