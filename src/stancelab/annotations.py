@@ -9,7 +9,9 @@ news-typed accounts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -106,21 +108,30 @@ def bot_threshold_sweep(
         groups["all"] = set(corpus.users)
     tweets_by_user = {u: len(tweets) for u, tweets in corpus.users.items()}
 
+    # Per group: its scored members' probabilities ascending, and the tweets
+    # of the members from each index on.  The bots at a threshold are the
+    # members past bisect_right, so one sort serves every threshold; the
+    # counts are integers, so each fraction is the same division as a count
+    # made member by member.
+    tallies = []
+    for group_name in sorted(groups):
+        members = groups[group_name]
+        scored = sorted((p, tweets_by_user.get(u, 0)) for u in members if (p := scores.scores.get(u)) is not None)
+        probs = [p for p, _ in scored]
+        tail_tweets = list(accumulate(reversed([n for _, n in scored]), initial=0))[::-1]
+        group_tweets = sum(tweets_by_user.get(u, 0) for u in members)
+        tallies.append((group_name, len(members), len(members) - len(scored), group_tweets, probs, tail_tweets))
+
     rows: list[SweepRow] = []
     for threshold in grid:
-        bots = classify_bots(scores, threshold)
-        for group_name in sorted(groups):
-            members = groups[group_name]
-            unscored = sum(1 for u in members if u not in scores.scores)
-            bot_members = members & bots
-            group_tweets = sum(tweets_by_user.get(u, 0) for u in members)
-            bot_tweets = sum(tweets_by_user.get(u, 0) for u in bot_members)
+        for group_name, n_members, unscored, group_tweets, probs, tail_tweets in tallies:
+            first_bot = bisect_right(probs, threshold)
             rows.append(
                 SweepRow(
                     threshold=threshold,
                     group=group_name,
-                    account_fraction=len(bot_members) / len(members) if members else 0.0,
-                    tweet_fraction=bot_tweets / group_tweets if group_tweets else 0.0,
+                    account_fraction=(len(probs) - first_bot) / n_members if n_members else 0.0,
+                    tweet_fraction=tail_tweets[first_bot] / group_tweets if group_tweets else 0.0,
                     unscored_count=unscored,
                 )
             )

@@ -12,10 +12,14 @@ with its input.  Each keeps the input's ``kind``, except that the reciprocal
 subnetwork's kind is ``RECIPROCAL``.  ``attach_stances`` keeps the input's
 ``self_loop_count``; the other three set it to 0.  A union sums its parts'
 counts.
+
+Every edge's two ends are nodes: ``add_edge``, the builders and the
+derivations keep it so, and ``sorted_edges`` relies on it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
@@ -35,6 +39,8 @@ __all__ = [
     "weighted_union",
     "all_communication",
     "reciprocal_subnetwork",
+    "StanceSplit",
+    "split_by_stance",
     "group_subgraph",
     "attach_stances",
     "transpose",
@@ -58,7 +64,8 @@ _TARGET_OF = {
     NetworkKind.RETWEET: attrgetter("retweeted_user_id"),
     NetworkKind.REPLY: attrgetter("in_reply_to_user_id"),
 }
-_EDGE = json_block(("%s",) * 3, 2)  # one [a, b, w] of a cached network's "edges"
+# The text around the three members of one [a, b, w] in a cached network's "edges".
+_EDGE_OPEN, _EDGE_SEP, _, _EDGE_CLOSE = json_block(("%s",) * 3, 2).split("%s")
 
 
 @dataclass
@@ -88,7 +95,14 @@ class CommNetwork:
         return all((b, a) in self.edges for (a, b) in self.edges)
 
     def sorted_edges(self) -> list[tuple[str, str, int]]:
-        return [(a, b, self.edges[(a, b)]) for a, b in sorted(self.edges)]
+        """The edges as ``(src, dst, weight)``, by ``(src, dst)``.  With each
+        node numbered by its place in sorted order, the int ``src * n + dst``
+        orders the edges as the name pairs do and sorts faster."""
+        names = sorted(self.nodes)
+        n = len(names)
+        index = dict(zip(names, range(n)))
+        by_key = {index[a] * n + index[b]: (a, b, w) for (a, b), w in self.edges.items()}
+        return list(map(by_key.__getitem__, sorted(by_key)))
 
 
 def build_network(
@@ -118,13 +132,12 @@ def build_network(
         pairs = [(t.user_id, target) for t in corpus.tweets if (target := target_of(t)) is not None]
     else:
         raise ValueError(f"cannot build a {kind.value} network directly")
-    net = CommNetwork(kind=kind)
-    edges = net.edges
-    for pair in pairs:
-        if pair[0] != pair[1]:
-            edges[pair] = edges.get(pair, 0) + 1
-    net.nodes.update(chain.from_iterable(edges))
-    net.self_loop_count = len(pairs) - sum(edges.values())  # the pairs not counted as edges
+    counts = Counter(pairs)
+    for pair in [pair for pair in counts if pair[0] == pair[1]]:
+        del counts[pair]
+    net = CommNetwork(kind=kind, edges=dict(counts))
+    net.nodes.update(chain.from_iterable(counts))
+    net.self_loop_count = len(pairs) - sum(counts.values())  # the pairs not counted as edges
     return net
 
 
@@ -136,8 +149,12 @@ def weighted_union(kind: NetworkKind, parts: dict[NetworkKind, CommNetwork]) -> 
         if net.kind is not expected:
             raise ValueError(f"expected a {expected.value} network, got {net.kind.value}")
         union.nodes.update(net.nodes)
-        for edge, w in net.edges.items():
-            union.edges[edge] = union.edges.get(edge, 0) + w
+        if union.edges:
+            edges = union.edges
+            for edge, w in net.edges.items():
+                edges[edge] = edges.get(edge, 0) + w
+        else:
+            union.edges = dict(net.edges)
         union.self_loop_count += net.self_loop_count
     return union
 
@@ -171,22 +188,66 @@ def reciprocal_subnetwork(net: CommNetwork) -> CommNetwork:
     )
 
 
-def group_subgraph(net: CommNetwork, table: StanceTable, groups: Iterable[Stance]) -> CommNetwork:
+@dataclass(frozen=True)
+class StanceSplit:
+    """One network's nodes, and their attributes, by the node's stance, and
+    its edges by the stances of their two ends: ``edges[s][t]`` holds the
+    edges from a node of stance s to one of stance t."""
+
+    nodes: dict[Stance, set[str]]
+    node_attr: dict[Stance, dict[str, str]]
+    edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]]
+
+
+def split_by_stance(net: CommNetwork, table: StanceTable) -> StanceSplit:
+    """``net`` split once by stance, for ``group_subgraph`` to assemble any
+    number of subgraphs from.  Nodes missing from the table (e.g. accounts
+    that never authored a tweet) count as unclassified."""
+    stance = table.stances_of(net.nodes)
+    nodes: dict[Stance, set[str]] = {s: set() for s in Stance}
+    for node, s in stance.items():
+        nodes[s].add(node)
+    node_attr: dict[Stance, dict[str, str]] = {s: {} for s in Stance}
+    for node, value in net.node_attr.items():
+        if node in stance:
+            node_attr[stance[node]][node] = value
+    edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]] = {s: {t: {} for t in Stance} for s in Stance}
+    out_parts = {node: edges[s] for node, s in stance.items()}  # a node's out-edges, by the target's stance
+    for edge, w in net.edges.items():
+        a, b = edge
+        out_parts[a][stance[b]][edge] = w
+    return StanceSplit(nodes, node_attr, edges)
+
+
+def group_subgraph(
+    net: CommNetwork, table: StanceTable, groups: Iterable[Stance], *, split: StanceSplit | None = None
+) -> CommNetwork:
     """Induced subgraph on nodes whose stance is in ``groups``.
 
     Nodes missing from the table (e.g. accounts that never authored a tweet)
-    count as unclassified.
+    count as unclassified.  ``split`` is ``split_by_stance(net, table)``;
+    a caller taking several subgraphs of one network passes it, so the
+    network is scanned once.
     """
     wanted = set(groups)
-    keep = {n for n in net.nodes if table.stance_of(n) in wanted}
-    edges = {(a, b): w for (a, b), w in net.edges.items() if a in keep and b in keep}
-    node_attr = {n: v for n, v in net.node_attr.items() if n in keep}
+    wanted = [s for s in Stance if s in wanted]  # in a fixed order, so the dicts are built alike every run
+    if split is None:
+        split = split_by_stance(net, table)
+    keep: set[str] = set()
+    node_attr: dict[str, str] = {}
+    edges: dict[tuple[str, str], int] = {}
+    for s in wanted:
+        keep |= split.nodes[s]
+        node_attr |= split.node_attr[s]
+        for t in wanted:
+            edges |= split.edges[s][t]
     return replace(net, nodes=keep, edges=edges, node_attr=node_attr, self_loop_count=0)
 
 
 def attach_stances(net: CommNetwork, table: StanceTable) -> CommNetwork:
     """Copy of the network with a stance attribute on every node."""
-    stances = {n: table.stance_of(n).value for n in net.nodes}
+    value = {s: s.value for s in Stance}
+    stances = {n: value[s] for n, s in table.stances_of(net.nodes).items()}
     return replace(net, nodes=set(net.nodes), edges=dict(net.edges), node_attr=stances)
 
 
@@ -199,13 +260,13 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _export_dot(net: CommNetwork, path: Path) -> None:
+def _export_dot(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
     lines = [f"digraph {net.kind.value} {{"]
     for node in sorted(net.nodes):
         stance = net.node_attr.get(node)
         attr = f" [stance={_dot_quote(stance)}]" if stance else ""
         lines.append(f"  {_dot_quote(node)}{attr};")
-    for src, dst, w in net.sorted_edges():
+    for src, dst, w in edges:
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={w}];")
     lines.append("}")
     write_text(path, "\n".join(lines) + "\n")
@@ -223,7 +284,7 @@ def _gexf_block(tag: str, depth: int, children: list[str]) -> list[str]:
     return [f"{pad}<{tag}>", *children, f"{pad}</{tag}>"] if children else [f"{pad}<{tag} />"]
 
 
-def _export_gexf(net: CommNetwork, path: Path) -> None:
+def _export_gexf(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
     """GEXF 1.2 in the layout of ElementTree's ``indent`` and ``tostring``,
     written as lines: building and serializing the tree cost several times more."""
     nodes = []
@@ -237,9 +298,9 @@ def _export_gexf(net: CommNetwork, path: Path) -> None:
             "        </attvalues>",
             "      </node>",
         )
-    edges = [
+    edge_lines = [
         f'      <edge id="{i}" source="{src.translate(_ATTR_ESCAPES)}" target="{dst.translate(_ATTR_ESCAPES)}" weight="{w}" />'
-        for i, (src, dst, w) in enumerate(net.sorted_edges())
+        for i, (src, dst, w) in enumerate(edges)
     ]
     lines = [
         "<?xml version='1.0' encoding='utf-8'?>",
@@ -249,40 +310,58 @@ def _export_gexf(net: CommNetwork, path: Path) -> None:
         '      <attribute id="0" title="stance" type="string" />',
         "    </attributes>",
         *_gexf_block("nodes", 2, nodes),
-        *_gexf_block("edges", 2, edges),
+        *_gexf_block("edges", 2, edge_lines),
         "  </graph>",
         "</gexf>",
     ]
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _export_edge_csv(net: CommNetwork, path: Path) -> None:
-    write_csv(path, ("src", "dst", "weight"), net.sorted_edges())
+def _export_edge_csv(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
+    write_csv(path, ("src", "dst", "weight"), edges)
 
 
 _EXPORTERS = {"dot": _export_dot, "gexf": _export_gexf, "csv": _export_edge_csv}
 
 
-def export_graph(net: CommNetwork, fmt: str, path: str | Path) -> None:
-    """Write the network as DOT, GEXF 1.2, or edge CSV (src,dst,weight)."""
+def export_graph(
+    net: CommNetwork, fmt: str, path: str | Path, edges: list[tuple[str, str, int]] | None = None
+) -> None:
+    """Write the network as DOT, GEXF 1.2, or edge CSV (src,dst,weight).
+
+    Edges are written in ``(src, dst)`` order.  ``edges`` is
+    ``net.sorted_edges()``; a caller writing one network several times
+    passes it, so the network is sorted once.
+    """
     try:
         exporter = _EXPORTERS[fmt.lower()]
     except KeyError:
         raise ValueError(f"unknown export format {fmt!r}; use dot, gexf, or csv") from None
-    exporter(net, Path(path))
+    exporter(net, Path(path), net.sorted_edges() if edges is None else edges)
 
 
-def write_network_json(net: CommNetwork, path: str | Path) -> None:
+def write_network_json(net: CommNetwork, path: str | Path, edges: list[tuple[str, str, int]] | None = None) -> None:
     """The pipeline's cached network, full fidelity: it keeps the isolated
     nodes, stance attributes and diagnostics that the edge CSV drops.  The
     bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...], "kind",
-    "node_attr", "nodes", "self_loop_count"}``, rendered item by item."""
+    "node_attr", "nodes", "self_loop_count"}``, rendered item by item.
+    ``edges`` is ``net.sorted_edges()``, passed by a caller that has it, as
+    for ``export_graph``."""
     q = encode_basestring_ascii
+    if edges is None:
+        edges = net.sorted_edges()
+    nodes = sorted(net.nodes)
+    quoted = dict(zip(nodes, map(q, nodes)))  # each name is quoted once
+    sep, close = _EDGE_SEP, _EDGE_CLOSE
+    opening = {node: _EDGE_OPEN + name + sep for node, name in quoted.items()}  # up to b
+    attr = net.node_attr
+    quoted_attr = {n: q(n) for n in sorted(attr)} if attr.keys() != net.nodes else quoted  # attach_stances covers every node
+    quoted_value = {v: q(v) for v in set(attr.values())}
     members = (
-        '"edges": ' + json_block([_EDGE % (q(a), q(b), int.__repr__(w)) for a, b, w in net.sorted_edges()], 1),
+        '"edges": ' + json_block([f"{opening[a]}{quoted[b]}{sep}{w:d}{close}" for a, b, w in edges], 1),
         '"kind": ' + q(net.kind.value),
-        '"node_attr": ' + json_block([f"{q(n)}: {q(net.node_attr[n])}" for n in sorted(net.node_attr)], 1, "{}"),
-        '"nodes": ' + json_block(map(q, sorted(net.nodes)), 1),
+        '"node_attr": ' + json_block([f"{name}: {quoted_value[attr[n]]}" for n, name in quoted_attr.items()], 1, "{}"),
+        '"nodes": ' + json_block(quoted.values(), 1),
         '"self_loop_count": ' + int.__repr__(net.self_loop_count),
     )
     write_text(path, json_block(members, 0, "{}") + "\n")

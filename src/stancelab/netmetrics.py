@@ -10,6 +10,7 @@ received count, eigenvector centrality, and distinct-source count.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,41 +114,65 @@ def eigenvector_centrality(
     L steps of A normalized at each step, with no warning.  On the star
     ``X -> a..e`` X scores 1.0 and every leaf 0.0.
     """
+    run = _eigenvector_run(net, tol, max_iter)
+    if not run.converged:
+        logger.warning(
+            "eigenvector centrality did not converge in %d steps on %d nodes; last max-abs step %.3g (tol %.3g)",
+            max_iter, len(run.scores), run.last_step, tol,
+        )
+    return run.scores
+
+
+@dataclass(frozen=True)
+class _EigenRun:
+    """What ``_eigenvector_run`` did: the scores, the steps taken, the largest
+    absolute change in the last one (inf before any), whether the base is
+    acyclic, and whether the scores are converged: the last step changed
+    less than ``tol``, or the base is acyclic with edges and they are the limit."""
+
+    scores: dict[str, float]
+    steps: int
+    last_step: float
+    acyclic: bool
+    converged: bool
+
+
+def _eigenvector_run(net: CommNetwork, tol: float, max_iter: int) -> _EigenRun:
+    """``eigenvector_centrality``, with how its iteration ended."""
     order = sorted(net.nodes)
     n = len(order)
     if n == 0:
-        return {}
-    index = {node: i for i, node in enumerate(order)}
-    items = net.sorted_edges()
-    sources = [index[a] for a, _, _ in items]
-    targets = [index[b] for _, b, _ in items]
+        return _EigenRun({}, 0, math.inf, True, True)
+    index = dict(zip(order, range(n)))
+    sources = [index[a] for a, _ in net.edges]
+    targets = [index[b] for _, b in net.edges]
     longest = _longest_path(n, sources, targets)
+    # The edges in (source, target) order: the sums below add them in it.
     rows = np.array(sources, dtype=np.intp)
     cols = np.array(targets, dtype=np.intp)
-    weights = np.array([w for _, _, w in items], dtype=np.float64)
+    by_pair = np.argsort(rows * n + cols)
+    rows, cols = rows[by_pair], cols[by_pair]
+    weights = np.fromiter(net.edges.values(), dtype=np.float64, count=len(net.edges))[by_pair]
 
     vec = np.full(n, 1.0 / np.sqrt(n))
-    if items and longest is not None:
+    if len(rows) and longest is not None:  # then longest >= 1
         for _ in range(longest):
-            vec = np.bincount(rows, weights * vec[cols], minlength=n)
+            prev, vec = vec, np.bincount(rows, weights * vec[cols], minlength=n)
             vec /= np.linalg.norm(vec)
-        return {node: float(vec[index[node]]) for node in order}
-    step = float("inf")
-    for _ in range(max_iter):
+        return _EigenRun(dict(zip(order, vec.tolist())), longest, float(np.max(np.abs(vec - prev))), True, True)
+    step = math.inf
+    steps = 0
+    while steps < max_iter:
         nxt = vec.copy()
-        if len(items):
+        if len(rows):
             np.add.at(nxt, rows, weights * vec[cols])
         nxt /= np.linalg.norm(nxt)
         step = float(np.max(np.abs(nxt - vec)))
         vec = nxt
+        steps += 1
         if step < tol:
             break
-    else:
-        logger.warning(
-            "eigenvector centrality did not converge in %d steps on %d nodes; last max-abs step %.3g (tol %.3g)",
-            max_iter, n, step, tol,
-        )
-    return {node: float(vec[index[node]]) for node in order}
+    return _EigenRun(dict(zip(order, vec.tolist())), steps, step, longest is not None, step < tol)
 
 
 def _longest_path(n: int, sources: list[int], targets: list[int]) -> int | None:
@@ -189,9 +214,10 @@ class InfluencerReport:
 
 
 def _rank(scores: dict[str, float]) -> dict[str, int]:
-    # competition ranking: 1 + number of strictly better scores
+    # competition ranking: 1 + number of strictly better scores, found once per distinct score
     values = sorted(scores.values())
-    return {u: 1 + len(values) - bisect_right(values, s) for u, s in scores.items()}
+    rank_of = {s: 1 + len(values) - bisect_right(values, s) for s in set(values)}
+    return {u: rank_of[s] for u, s in scores.items()}
 
 
 def super_spreaders(base: CommNetwork, k: int = 3) -> InfluencerReport:
@@ -229,17 +255,18 @@ def super_friends(reciprocal: CommNetwork, k: int = 3) -> InfluencerReport:
 
 
 def write_influencer_csv(report: InfluencerReport, path: str | Path) -> None:
+    supers = report.super_accounts
     write_csv(
         path,
         ("user_id", "measure1", "measure2", "measure3", "is_super"),
-        (
+        [
             (
                 user_id,
                 int(m1) if float(m1).is_integer() else m1,
                 m2,
                 int(m3) if float(m3).is_integer() else m3,
-                str(user_id in report.super_accounts).lower(),
+                "true" if user_id in supers else "false",
             )
             for user_id, (m1, m2, m3) in sorted(report.measures.items())
-        ),
+        ],
     )

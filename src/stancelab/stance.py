@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import Corpus
 from .fileio import read_csv, write_csv
@@ -59,6 +60,12 @@ class StanceTable:
     def stance_of(self, user_id: str, default: Stance = Stance.UNCLASSIFIED) -> Stance:
         row = self.rows.get(user_id)
         return row.stance if row is not None else default
+
+    def stances_of(self, users: Iterable[str]) -> dict[str, Stance]:
+        """Each user's ``stance_of``, in one pass."""
+        rows = self.rows
+        unclassified = Stance.UNCLASSIFIED
+        return {u: rows[u].stance if u in rows else unclassified for u in users}
 
     def group(self, stance: Stance) -> set[str]:
         return {u for u, row in self.rows.items() if row.stance is stance}

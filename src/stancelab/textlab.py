@@ -14,7 +14,7 @@ import operator
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from importlib import resources
 from itertools import chain
@@ -44,13 +44,21 @@ _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A mention, a hashtag or a word, whichever starts first: on a text without
+# URLs, one left-to-right scan meets them as the passes above do.
+_SCAN_RE = re.compile(r"@\w+|#\w+|[^\W_]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedDoc:
     doc_id: str
     tokens: tuple[str, ...]
     hashtags_included: bool
+
+
+# The fields' slot setters: ``tokenize`` fills its documents through them, at
+# about a third of the cost of the frozen ``__init__``.
+_set_doc_id, _set_tokens, _set_hashtags_included = (getattr(TokenizedDoc, f.name).__set__ for f in fields(TokenizedDoc))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -73,9 +81,42 @@ def _word_tokens(fragment: str, stopwords: frozenset[str]) -> list[str]:
 
 
 def tokenize_text_both(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Token sequences of one message without and with its hashtags, from
-    one URL, mention and hashtag pass; the words between hashtags are the
-    same in both, and a kept hashtag stays atomic."""
+    """Token sequences of one message without and with its hashtags; the
+    words between hashtags are the same in both, and a kept hashtag stays
+    atomic.
+
+    The tokens are those of these passes: remove URLs from the whole text,
+    then mentions; split the rest at its hashtags; case-fold each fragment
+    between them and keep its words.  An ASCII text, where ``casefold`` is
+    ``lower`` and changes no character's class, is lowered whole and scanned
+    once for mentions, hashtags and words, after the URL pass if it holds
+    ``://`` or ``www.``: no mention, hashtag or word holds an ``@`` or ``#``
+    past its first character, so the scan finds the mentions the mention
+    pass removes, the hashtags the text is split at and the words between
+    them, in order.  Other texts take the passes as written, because case
+    folding can change which characters are word characters (``İ``,
+    U+0345) and the length of a fragment (``ß``).
+    """
+    if not text.isascii():
+        return _tokenize_by_passes(text, stopwords)
+    text = text.lower()
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    words: list[str] = []
+    tagged: list[str] = []
+    for token in _SCAN_RE.findall(text):
+        head = token[0]
+        if head == "#":
+            token = token[1:]  # normalize_hashtag of an ASCII hashtag
+            if len(token) >= 2 and token not in stopwords:
+                tagged.append(token)
+        elif head != "@" and len(token) >= 2 and token not in stopwords:
+            words.append(token)
+            tagged.append(token)
+    return tuple(words), tuple(tagged)
+
+
+def _tokenize_by_passes(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
     words: list[str] = []
     tagged: list[str] = []
@@ -126,10 +167,15 @@ def tokenize(
             pooled_words += words
             pooled_tagged += tagged
         docs = [(user_id, (tuple(words), tuple(tagged))) for user_id, (words, tagged) in pooled.items()]
-    return tuple(
-        [TokenizedDoc(doc_id=doc_id, tokens=views[kept], hashtags_included=kept) for doc_id, views in docs]
-        for kept in (False, True)
-    )
+    return tuple([_tokenized_doc(doc_id, views[kept], kept) for doc_id, views in docs] for kept in (False, True))
+
+
+def _tokenized_doc(doc_id: str, tokens: tuple[str, ...], hashtags_included: bool) -> TokenizedDoc:
+    doc = object.__new__(TokenizedDoc)
+    _set_doc_id(doc, doc_id)
+    _set_tokens(doc, tokens)
+    _set_hashtags_included(doc, hashtags_included)
+    return doc
 
 
 def unigram_frequencies(docs: Sequence[TokenizedDoc], top_n: int) -> list[tuple[str, int]]:
@@ -198,6 +244,10 @@ def lda_fit(
     compiled and the count arrays are used as they are; they are built with
     ``np.bincount``, giving the same integers as the reference's
     ``np.add.at``.  Cost grows with tokens x iterations x k.
+
+    alpha and beta must be finite and > 0, and small enough that
+    ``k * alpha``, ``n_vocab * beta`` and every sweep weight are finite: an
+    infinite denominator would give phi or theta rows of zeros.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -211,18 +261,24 @@ def lda_fit(
     if not usable:
         raise ValueError("no usable documents: every document is empty after tokenization")
 
-    vocab = tuple(sorted({tok for doc in usable for tok in doc.tokens}))
-    if k > len(vocab):
-        warnings.warn(f"topic count {k} exceeds vocabulary size {len(vocab)}", stacklevel=2)
-    word_index = {w: i for i, w in enumerate(vocab)}
+    tokens = list(chain.from_iterable(doc.tokens for doc in usable))
+    vocab = tuple(sorted(set(tokens)))
     n_docs = len(usable)
     n_vocab = len(vocab)
+    n_tokens = len(tokens)
+    # phi divides by n_t + n_vocab * beta and theta by a doc length + k * alpha;
+    # a sweep's weights, and their sum over the k topics, stay below
+    # k * (alpha + n_tokens) * (beta + n_tokens), which bounds both products too.
+    if not math.isfinite(k * (alpha + n_tokens) * (beta + n_tokens)):
+        raise ValueError(
+            f"alpha={alpha!r} and beta={beta!r} overflow: k * alpha, n_vocab * beta or the Gibbs weights are not finite"
+        )
+    if k > n_vocab:
+        warnings.warn(f"topic count {k} exceeds vocabulary size {n_vocab}", stacklevel=2)
+    word_index = dict(zip(vocab, range(n_vocab)))
 
-    token_word = np.array([word_index[tok] for doc in usable for tok in doc.tokens], dtype=np.intp)
-    token_doc = np.array(
-        [d for d, doc in enumerate(usable) for _ in doc.tokens], dtype=np.intp
-    )
-    n_tokens = len(token_word)
+    token_word = np.fromiter(map(word_index.__getitem__, tokens), dtype=np.intp, count=n_tokens)
+    token_doc = np.repeat(np.arange(n_docs, dtype=np.intp), [len(doc.tokens) for doc in usable])
 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, size=n_tokens)
@@ -386,13 +442,11 @@ def top_words(
     if not 0 <= topic < model.k:
         raise ValueError(f"topic {topic} out of range for k={model.k}")
     row = model.phi[topic]
-    pairs = [
-        (word, float(row[i]))
-        for i, word in enumerate(model.vocab)
-        if exclude is None or word not in exclude
-    ]
-    pairs.sort(key=lambda item: (-item[1], item[0]))
-    return pairs[:n]
+    vocab = model.vocab
+    order = np.argsort(-row, kind="stable").tolist()  # vocab is sorted, so tied words stay in word order
+    if exclude is not None:
+        order = [i for i in order if vocab[i] not in exclude]
+    return [(vocab[i], float(row[i])) for i in order[:n]]
 
 
 def write_frequency_csv(frequencies: list[tuple[str, int]], path: str | Path) -> None:

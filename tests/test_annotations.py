@@ -12,8 +12,8 @@ from stancelab.annotations import (
     write_concentration_json,
     write_sweep_csv,
 )
-from stancelab.stance import classify_users
-from util import make_corpus, make_tweet
+from stancelab.stance import Stance, StanceRow, StanceTable, classify_users
+from util import make_corpus, make_tweet, oracle_bot_threshold_sweep
 
 
 class TestLoadBotScores:
@@ -218,3 +218,21 @@ class TestNewsConcentration:
         assert groups == sorted(groups)
         believer = next(e for e in payload if e["group"] == "believer")
         assert believer["accounts"][0]["tweet_count"] == 3
+
+
+@given(
+    authors=st.lists(st.integers(0, 7), min_size=1, max_size=30),
+    stances=st.lists(st.sampled_from(Stance), min_size=8, max_size=8),
+    classified=st.sets(st.integers(0, 9)),
+    scored=st.dictionaries(st.integers(0, 9), st.sampled_from((0.0, 0.25, 0.5, 0.5, 0.75, 1.0)) | st.floats(0.0, 1.0)),
+    grid=st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)) | st.floats(0.0, 1.0), max_size=6).map(sorted),
+    include_global=st.booleans(),
+)
+def test_sweep_matches_the_per_threshold_loop(authors, stances, classified, scored, grid, include_global):
+    """Tied scores, scores on the grid, unscored members, scored users who
+    never tweeted and stance rows for users who never tweeted."""
+    corpus = make_corpus(*(make_tweet(f"t{i}", f"u{a}") for i, a in enumerate(authors)))
+    table = StanceTable(rows={f"u{u}": StanceRow(f"u{u}", None, stances[u % 8], 0) for u in classified})
+    scores = BotScoreTable(scores={f"u{u}": p for u, p in scored.items()})
+    rows = bot_threshold_sweep(corpus, table, scores, grid, include_global=include_global)
+    assert rows == oracle_bot_threshold_sweep(corpus, table, scores, grid, include_global=include_global)

@@ -14,6 +14,7 @@ from stancelab.commnet import (
     group_subgraph,
     read_network_json,
     reciprocal_subnetwork,
+    split_by_stance,
     transpose,
     write_network_json,
 )
@@ -26,9 +27,11 @@ from util import (
     oracle_build_network,
     oracle_dot,
     oracle_gexf,
+    oracle_group_subgraph,
     oracle_json_bytes,
     oracle_network_payload,
     random_corpus,
+    random_network,
 )
 
 
@@ -358,3 +361,63 @@ def test_network_json_has_the_bytes_of_json_dump(tmp_path_factory, kind, nodes, 
     tmp = tmp_path_factory.mktemp("net")
     write_network_json(net, tmp / "net.json")
     assert (tmp / "net.json").read_bytes() == oracle_json_bytes(tmp, oracle_network_payload(net))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    groups=st.lists(st.sets(st.sampled_from(Stance)), min_size=1, max_size=4),
+)
+def test_subgraphs_from_one_split_equal_whole_network_scans(seed, groups):
+    """Nodes without a stance row, attributes on some nodes only, and one
+    split shared by several subgraphs."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=12)
+    stances = list(Stance)
+    table = stance_table(**{n: stances[int(rng.integers(0, 3))] for n in sorted(net.nodes) if rng.random() < 0.8})
+    net.node_attr = {n: "attr" + n for n in sorted(net.nodes) if rng.random() < 0.6}
+    split = split_by_stance(net, table)
+    for wanted in groups:
+        expected = oracle_group_subgraph(net, table, wanted)
+        assert group_subgraph(net, table, wanted, split=split) == expected
+        assert group_subgraph(net, table, wanted) == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sorted_edges_follow_the_name_pairs(seed):
+    net = random_network(np.random.default_rng(seed), max_nodes=14)
+    assert net.sorted_edges() == [(a, b, w) for (a, b), w in sorted(net.edges.items())]
+
+
+@pytest.mark.parametrize("formats", [(), ("csv",), ("csv", "gexf", "dot")])
+def test_networks_stage_sorts_each_network_once(tmp_path, monkeypatch, formats):
+    """However many files list a network's edges, its edges are sorted once."""
+    from stancelab import pipeline
+    from stancelab.demo import write_demo_config
+
+    cfg = pipeline.PipelineConfig.from_file(write_demo_config(tmp_path / "inputs", output_dir=tmp_path / "out"))
+    cfg.export_formats = formats
+    for stage in pipeline.STAGE_ORDER[: pipeline.STAGE_ORDER.index("networks")]:
+        pipeline.run_stage(stage, cfg)
+    sorted_kinds = []
+    sort = CommNetwork.sorted_edges
+
+    def counting(net):
+        sorted_kinds.append(net.kind)
+        return sort(net)
+
+    monkeypatch.setattr(CommNetwork, "sorted_edges", counting)
+    pipeline.run_stage("networks", cfg)
+    kinds = [read_network_json(cfg.output_dir / "networks" / f"{name}.json").kind for name in pipeline._NETWORK_NAMES]
+    assert sorted_kinds == kinds
+
+
+@pytest.mark.parametrize("fmt", ["csv", "gexf", "dot"])
+def test_export_with_the_sorted_edges_passed_writes_the_same_bytes(tmp_path, fmt):
+    net = random_network(np.random.default_rng(5))
+    net.node_attr = {n: Stance.BELIEVER.value for n in net.nodes}
+    export_graph(net, fmt, tmp_path / "own")
+    export_graph(net, fmt, tmp_path / "passed", net.sorted_edges())
+    write_network_json(net, tmp_path / "own.json")
+    write_network_json(net, tmp_path / "passed.json", net.sorted_edges())
+    assert (tmp_path / "own").read_bytes() == (tmp_path / "passed").read_bytes()
+    assert (tmp_path / "own.json").read_bytes() == (tmp_path / "passed.json").read_bytes()

@@ -224,6 +224,34 @@ class TestEigenvectorCentrality:
         assert caplog.records == []
 
 
+class TestEigenvectorRun:
+    """The private helper reports how the iteration ended."""
+
+    def test_acyclic_base_takes_its_longest_path_in_steps(self):
+        run = netmetrics._eigenvector_run(star_base(), 1e-10, 1000)
+        assert run.scores == eigenvector_centrality(star_base())
+        assert (run.steps, run.acyclic, run.converged) == (1, True, True)
+        assert run.last_step == pytest.approx(1 - 1 / np.sqrt(6))  # X goes from 1/sqrt(6) to 1
+
+    def test_cyclic_base_converges_below_tol(self):
+        net = CommNetwork(kind=NetworkKind.INFLUENCE_BASE)
+        for src, dst, w in (("a", "b", 3), ("b", "c", 1), ("c", "a", 2), ("b", "a", 1)):
+            net.add_edge(src, dst, w)
+        run = netmetrics._eigenvector_run(net, 1e-10, 1000)
+        assert run.scores == eigenvector_centrality(net)
+        assert not run.acyclic and run.converged and run.last_step < 1e-10 and 1 < run.steps < 1000
+        cut = netmetrics._eigenvector_run(net, 1e-10, 1)
+        assert (cut.steps, cut.converged) == (1, False)
+        assert cut.last_step == max(abs(v - 1 / np.sqrt(3)) for v in cut.scores.values())
+
+    def test_edgeless_and_empty_bases(self):
+        net = CommNetwork(kind=NetworkKind.INFLUENCE_BASE, nodes={"a", "b"})
+        run = netmetrics._eigenvector_run(net, 1e-10, 1000)
+        assert (run.steps, run.acyclic, run.converged) == (1, True, True) and run.last_step < 1e-10
+        empty = netmetrics._eigenvector_run(CommNetwork(kind=NetworkKind.INFLUENCE_BASE), 1e-10, 1000)
+        assert (empty.scores, empty.steps, empty.acyclic, empty.converged) == ({}, 0, True, True)
+
+
 def star_base(n_fans=5):
     """n accounts each retweet X once; received orientation."""
     corpus = make_corpus(

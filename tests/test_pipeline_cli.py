@@ -320,10 +320,10 @@ class TestProvenance:
             run_stage(stage, cfg)
         export = pipeline.export_graph
 
-        def export_or_fail(net, fmt, path):
+        def export_or_fail(net, fmt, path, *edges):
             if net.kind.value == failing:
                 raise OSError("no space left on device")
-            export(net, fmt, path)
+            export(net, fmt, path, *edges)
 
         monkeypatch.setattr(pipeline, "export_graph", export_or_fail)
         with pytest.raises(StageError, match="no space left"):
@@ -700,3 +700,49 @@ class TestCollectorThreshold:
             run_stage("hashtags", cfg)
         assert read_records(log) == [["hashtags", list(pipeline._BUILD_GC_THRESHOLD)]]
         assert (gc.get_threshold(), gc.isenabled()) == caller_gc
+
+
+class TestFrozenAcrossTheFork:
+    """Both lanes step with the objects built before the fork frozen, so a
+    collection in either process leaves them alone; the caller's freeze
+    state is left as it was, whether the build succeeds or fails."""
+
+    @staticmethod
+    def record_frozen(monkeypatch, log, stage, fail=False):
+        step = pipeline._STAGES[stage]
+
+        def recording(cfg, bundle, **inputs):
+            append_record(log, [stage, gc.get_freeze_count() > 0])
+            if fail:
+                raise OSError(f"{stage} broke")
+            step(cfg, bundle, **inputs)
+
+        monkeypatch.setitem(pipeline._STAGES, stage, recording)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
+    def test_lanes_run_frozen_and_nothing_stays_frozen(self, demo_cfg, tmp_path, monkeypatch, fail):
+        _, cfg = demo_cfg
+        log = tmp_path / "frozen.jsonl"
+        stages = ("classify", pipeline._CHILD_LANE[0], "text")
+        for stage in stages:
+            self.record_frozen(monkeypatch, log, stage, fail and stage == "text")
+        if fail:
+            with pytest.raises(StageError, match="text broke"):
+                run_pipeline(cfg)
+        else:
+            self.record_frozen(monkeypatch, log, "report")
+            run_pipeline(cfg)
+        expected = [["classify", False], [pipeline._CHILD_LANE[0], True], ["text", True]] + [["report", False]] * (not fail)
+        assert sorted(read_records(log)) == sorted(expected)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_caller_that_froze_objects_keeps_them_frozen(self, demo_cfg):
+        _, cfg = demo_cfg
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_pipeline(cfg)
+            # still frozen, and nothing of the build's added (frozen objects may be freed meanwhile)
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()

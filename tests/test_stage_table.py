@@ -53,7 +53,7 @@ def test_each_stage_does_what_it_declares(demo_cfg, monkeypatch):
     seen = {stage: (set(), set()) for stage in STAGE_ORDER}
     get, put = pipeline._Bundle.get, pipeline._Bundle.put
     monkeypatch.setattr(pipeline._Bundle, "get", lambda self, n: seen[self.stage][0].add(n) or get(self, n))
-    monkeypatch.setattr(pipeline._Bundle, "put", lambda self, n, v: seen[self.stage][1].add(n) or put(self, n, v))
+    monkeypatch.setattr(pipeline._Bundle, "put", lambda self, n, v, **kw: seen[self.stage][1].add(n) or put(self, n, v, **kw))
     root = demo_cfg.output_dir
     files = bundle_files(demo_cfg)
     written: set[str] = set()
@@ -171,8 +171,8 @@ def test_run_stage_holds_nothing_after_it_returns(demo_cfg, monkeypatch):
         init(self, *args)
         alive.append(weakref.ref(self))
 
-    def recording_put(self, name, value):
-        put(self, name, value)
+    def recording_put(self, name, value, **write_args):
+        put(self, name, value, **write_args)
         if name != "labels":  # a dict, which takes no weak reference
             alive.append(weakref.ref(value))
 

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from stancelab.stance import (
     Stance,
+    StanceRow,
+    StanceTable,
     classify_users,
     read_stance_csv,
     stance_from_polarity,
@@ -171,3 +173,9 @@ def test_classification_reads_each_author_only():
     table = classify_users(corpus, {f"tag{i}": 1.0 - i / 3 for i in range(6)})
     assert len(table) == corpus.n_users
     assert corpus.tweets.iterations == 0
+
+
+@given(st.dictionaries(st.sampled_from("abcdef"), st.sampled_from(Stance)), st.lists(st.sampled_from("abcdefgh")))
+def test_stances_of_is_stance_of_for_each_user(rows, users):
+    table = StanceTable(rows={u: StanceRow(u, None, s, 0) for u, s in rows.items()})
+    assert table.stances_of(users) == {u: table.stance_of(u) for u in users}

@@ -22,7 +22,16 @@ from stancelab.textlab import (
     write_frequency_csv,
     write_topics_json,
 )
-from util import make_corpus, make_tweet, oracle_lda_fit, oracle_sweep, oracle_tokenize_text, oracle_unigram_frequencies
+from util import (
+    make_corpus,
+    make_tweet,
+    oracle_lda_fit,
+    oracle_sweep,
+    oracle_tokenize_text,
+    oracle_tokenize_text_both,
+    oracle_top_words,
+    oracle_unigram_frequencies,
+)
 
 
 def doc(doc_id, *tokens):
@@ -169,6 +178,27 @@ class TestLdaFit:
         with pytest.raises(ValueError, match="must be > 0"):
             lda_fit([doc("d1", "w", "v")], k=1, iterations=1, seed=0, **prior)
 
+    def test_beta_whose_vocabulary_product_overflows_is_rejected(self):
+        # n_vocab * beta is inf: every phi weight would be 0 and each row sum 0.0
+        with pytest.raises(ValueError, match="overflow"):
+            lda_fit([doc("d1", "u", "v", "w")], k=1, beta=1e308, iterations=0, seed=0)
+
+    def test_alpha_whose_topic_product_overflows_is_rejected(self):
+        # k * alpha is inf: every theta row would sum to 0.0
+        with pytest.raises(ValueError, match="overflow"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                lda_fit([doc("d1", "u", "v", "w")], k=3, alpha=1e308, iterations=0, seed=0)
+
+    def test_priors_whose_weight_product_overflows_are_rejected(self):
+        # each is finite times k or n_vocab, but (n_dt + alpha) * (n_tw + beta) is not
+        with pytest.raises(ValueError, match="overflow"):
+            lda_fit([doc("d1", "u", "v", "w")], k=1, alpha=1e200, beta=1e200, iterations=2, seed=0)
+
+    def test_large_finite_priors_still_fit(self):
+        model = lda_fit([doc("d1", "u", "v", "w")], k=1, alpha=1e100, beta=1e100, iterations=2, seed=0)
+        assert np.allclose(model.phi.sum(axis=1), 1.0) and np.allclose(model.theta.sum(axis=1), 1.0)
+
     def test_alpha_default_is_50_over_k(self):
         with pytest.warns(UserWarning):
             model = lda_fit([doc("d1", "w", "v")], k=5, iterations=1, seed=0)
@@ -238,6 +268,32 @@ def test_one_pass_gives_both_token_sequences(text):
     words, tagged = tokenize_text_both(text, STOPS)
     assert words == oracle_tokenize_text(text, STOPS, False)
     assert tagged == oracle_tokenize_text(text, STOPS, True)
+
+
+# Pieces where one scan could part from the passes: URLs inside words and
+# tags, mentions and tags glued to words, underscores, and characters whose
+# case folding changes the text's length or its word characters.
+scan_pieces = st.one_of(
+    st.sampled_from(
+        (
+            "x@www.a.com", "ab@www.a.com", "abchttp://t.co/x", "#tagwww.a.b", "#tag@www.x", "@uhttp://a",
+            "@me#tag", "#tag@me", "a#b", "ab#cd", "cd@ef", "@a_b", "#a_b", "a_b", "_ab", "ab_", "__", "#__",
+            "HTTPS://T.CO/X", "Www.X.org", "www.", "://x", "http:/x", "The", "AND", "Hoax", "x_y", "#x_y", "#The",
+            "ß", "straße", "#straße", "İstanbul", "#İ", "@İ", "\u0345", "a\u0345b", "#\u0345", "ΐ", "ﬁne",
+        )
+    ),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=6),
+)
+scan_texts = st.lists(st.tuples(scan_pieces, st.sampled_from((" ", "", ".", "#", "@", "/"))), max_size=12).map(
+    lambda parts: "".join(p + sep for p, sep in parts)
+)
+
+
+@given(st.one_of(scan_texts, texts))
+@example("x@www.a.com and #tag@www.b.com, abchttp://t.co/x @u#tag")
+@example("\u0130stanbul #\u0130 a\u0345b stra\u00dfe")
+def test_tokenize_text_both_matches_the_pass_by_pass_oracle(text):
+    assert tokenize_text_both(text, STOPS) == oracle_tokenize_text_both(text, STOPS)
 
 
 @given(
@@ -360,6 +416,22 @@ def test_lda_fit_matches_numpy_sampler(docs, k, alpha, beta, iterations, seed):
     assert draws == expected_draws
     assert np.array_equal(model.phi, phi)
     assert np.array_equal(model.theta, theta)
+
+
+@given(
+    docs=lda_docs.filter(lambda docs: any(docs)),
+    k=st.integers(1, 4),
+    iterations=st.integers(0, 3),
+    n=st.integers(0, 8),
+    exclude=st.one_of(st.none(), st.sets(st.sampled_from(("w0", "w1", "w2", "w3", "w4", "w5")))),
+)
+def test_top_words_matches_the_pair_sort(docs, k, iterations, n, exclude):
+    """Few tokens over few words give many tied probabilities."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = lda_fit([doc(f"d{i}", *tokens) for i, tokens in enumerate(docs)], k, iterations=iterations, seed=3)
+    for topic in range(k):
+        assert top_words(model, topic, n, exclude) == oracle_top_words(model, topic, n, exclude)
 
 
 def test_each_topic_count_builds_one_sweep_kernel_when_it_first_sweeps():

@@ -694,3 +694,79 @@ def oracle_tokenize_text(text: str, stopwords: frozenset[str], include_hashtags:
         pos = match.end()
     tokens.extend(words(text[pos:]))
     return tuple(tokens)
+
+
+def oracle_tokenize_text_both(text: str, stopwords: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``textlab.tokenize_text_both`` as it was before ASCII texts took one
+    scan: a URL pass, a mention pass, then the words of each case-folded
+    fragment between hashtags."""
+    text = re.sub(r"@\w+", " ", re.sub(r"(?:https?://\S+|www\.\S+)", " ", text, flags=re.IGNORECASE))
+
+    def words(fragment):
+        return [w for w in re.findall(r"[^\W_]+", fragment.casefold()) if len(w) >= 2 and w not in stopwords]
+
+    plain: list[str] = []
+    tagged: list[str] = []
+    pos = 0
+    for match in re.finditer(r"#\w+", text):
+        between = words(text[pos : match.start()])
+        plain += between
+        tagged += between
+        tag = normalize_hashtag(match.group(0))
+        if tag and len(tag) >= 2 and tag not in stopwords:
+            tagged.append(tag)
+        pos = match.end()
+    rest = words(text[pos:])
+    return tuple(plain + rest), tuple(tagged + rest)
+
+
+def oracle_top_words(model, topic: int, n: int, exclude=None) -> list[tuple[str, float]]:
+    """``textlab.top_words`` as a sort of (word, probability) pairs on
+    (-probability, word)."""
+    row = model.phi[topic]
+    pairs = [(word, float(row[i])) for i, word in enumerate(model.vocab) if exclude is None or word not in exclude]
+    pairs.sort(key=lambda item: (-item[1], item[0]))
+    return pairs[:n]
+
+
+def oracle_bot_threshold_sweep(corpus: Corpus, table, scores, grid, *, include_global: bool = False) -> list:
+    """``annotations.bot_threshold_sweep`` as a per-threshold loop over each
+    group's members (the code it had before it sorted each group once)."""
+    from stancelab.annotations import SweepRow, classify_bots
+
+    groups = {s.value: table.group(s) for s in Stance}
+    if include_global:
+        groups["all"] = set(corpus.users)
+    tweets_by_user = {u: len(tweets) for u, tweets in corpus.users.items()}
+    rows = []
+    for threshold in grid:
+        bots = classify_bots(scores, threshold)
+        for group_name in sorted(groups):
+            members = groups[group_name]
+            unscored = sum(1 for u in members if u not in scores.scores)
+            bot_members = members & bots
+            group_tweets = sum(tweets_by_user.get(u, 0) for u in members)
+            bot_tweets = sum(tweets_by_user.get(u, 0) for u in bot_members)
+            rows.append(
+                SweepRow(
+                    threshold=threshold,
+                    group=group_name,
+                    account_fraction=len(bot_members) / len(members) if members else 0.0,
+                    tweet_fraction=bot_tweets / group_tweets if group_tweets else 0.0,
+                    unscored_count=unscored,
+                )
+            )
+    return rows
+
+
+def oracle_group_subgraph(net: CommNetwork, table, groups) -> CommNetwork:
+    """``commnet.group_subgraph`` as a scan of the whole network per call
+    (the code it had before it assembled subgraphs from a stance split)."""
+    wanted = set(groups)
+    keep = {n for n in net.nodes if table.stance_of(n) in wanted}
+    return CommNetwork(
+        kind=net.kind,
+        nodes=keep,
+        edges={(a, b): w for (a, b), w in net.edges.items() if a in keep and b in keep},
+        node_attr={n: v for n, v in net.node_attr.items() if n in keep},
+    )
