@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus
-from .fileio import json_block, read_json, write_csv, write_text
+from .fileio import json_block, json_edges, read_json, write_csv, write_text
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "group_subgraph",
     "attach_stances",
     "transpose",
+    "EXPORTERS",
     "export_graph",
     "read_network_json",
     "write_network_json",
@@ -64,8 +65,6 @@ _TARGET_OF = {
     NetworkKind.RETWEET: attrgetter("retweeted_user_id"),
     NetworkKind.REPLY: attrgetter("in_reply_to_user_id"),
 }
-# The text around the three members of one [a, b, w] in a cached network's "edges".
-_EDGE_OPEN, _EDGE_SEP, _, _EDGE_CLOSE = json_block(("%s",) * 3, 2).split("%s")
 
 
 @dataclass
@@ -321,7 +320,8 @@ def _export_edge_csv(net: CommNetwork, path: Path, edges: list[tuple[str, str, i
     write_csv(path, ("src", "dst", "weight"), edges)
 
 
-_EXPORTERS = {"dot": _export_dot, "gexf": _export_gexf, "csv": _export_edge_csv}
+# The network export formats, by the name a config gives them.
+EXPORTERS = {"dot": _export_dot, "gexf": _export_gexf, "csv": _export_edge_csv}
 
 
 def export_graph(
@@ -334,9 +334,9 @@ def export_graph(
     passes it, so the network is sorted once.
     """
     try:
-        exporter = _EXPORTERS[fmt.lower()]
+        exporter = EXPORTERS[fmt.lower()]
     except KeyError:
-        raise ValueError(f"unknown export format {fmt!r}; use dot, gexf, or csv") from None
+        raise ValueError(f"unknown export format {fmt!r}; use one of {', '.join(EXPORTERS)}") from None
     exporter(net, Path(path), net.sorted_edges() if edges is None else edges)
 
 
@@ -352,13 +352,11 @@ def write_network_json(net: CommNetwork, path: str | Path, edges: list[tuple[str
         edges = net.sorted_edges()
     nodes = sorted(net.nodes)
     quoted = dict(zip(nodes, map(q, nodes)))  # each name is quoted once
-    sep, close = _EDGE_SEP, _EDGE_CLOSE
-    opening = {node: _EDGE_OPEN + name + sep for node, name in quoted.items()}  # up to b
     attr = net.node_attr
     quoted_attr = {n: q(n) for n in sorted(attr)} if attr.keys() != net.nodes else quoted  # attach_stances covers every node
     quoted_value = {v: q(v) for v in set(attr.values())}
     members = (
-        '"edges": ' + json_block([f"{opening[a]}{quoted[b]}{sep}{w:d}{close}" for a, b, w in edges], 1),
+        '"edges": ' + json_edges(edges, quoted),
         '"kind": ' + q(net.kind.value),
         '"node_attr": ' + json_block([f"{name}: {quoted_value[attr[n]]}" for n, name in quoted_attr.items()], 1, "{}"),
         '"nodes": ' + json_block(quoted.values(), 1),

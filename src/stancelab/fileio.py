@@ -22,8 +22,9 @@ was (or no file) and never a truncated one.
 ``load_corpus`` decodes its JSONL line by line itself, because it skips or
 reports each bad line on its own.  The large files (the cached networks
 and hashtag graph, and ``corpus.jsonl``) are rendered by their writers from
-pre-encoded items, through ``json_block`` for the JSON layout, with the same
-bytes ``write_json`` and ``write_jsonl`` would write.
+pre-encoded items, through ``json_block`` for the JSON layout and
+``json_edges`` for their ``[a, b, w]`` edges, with the same bytes
+``write_json`` and ``write_jsonl`` would write.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "write_json",
     "read_json",
     "json_block",
+    "json_edges",
     "jsonl_line",
     "write_jsonl",
     "write_csv",
@@ -84,6 +86,19 @@ def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
     inner = outer + "  "
     body = ("," + inner).join(items)
     return f"{brackets[0]}{inner}{body}{outer}{brackets[1]}" if body else brackets
+
+
+# The text around the three members of one [a, b, w] one level inside an object.
+_EDGE_OPEN, _EDGE_SEP, _, _EDGE_CLOSE = json_block(("%s",) * 3, 2).split("%s")
+
+
+def json_edges(edges: Iterable[tuple[str, str, int]], quoted: dict[str, str]) -> str:
+    """The ``json_block`` of ``[a, b, w]`` arrays, one per edge, as the value of
+    a top-level member; ``quoted`` maps each name to its encoded string, so a
+    name is quoted once however many edges it ends."""
+    sep, close = _EDGE_SEP, _EDGE_CLOSE
+    opening = {name: _EDGE_OPEN + q + sep for name, q in quoted.items()}  # up to b
+    return json_block([f"{opening[a]}{quoted[b]}{sep}{w:d}{close}" for a, b, w in edges], 1)
 
 
 def read_json(path: str | Path) -> Any:

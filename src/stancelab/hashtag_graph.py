@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import Corpus, normalize_hashtag
-from .fileio import json_block, parse_field, read_csv, read_json, write_csv, write_text
+from .fileio import json_block, json_edges, parse_field, read_csv, read_json, write_csv, write_text
 
 __all__ = [
     "HashtagGraph",
@@ -30,9 +30,6 @@ __all__ = [
     "read_graph_json",
     "write_graph_json",
 ]
-
-_EDGE = json_block(("%s",) * 3, 2)  # one [a, b, w] of the cached graph's "edges"
-
 
 @dataclass
 class HashtagGraph:
@@ -267,10 +264,12 @@ def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:
     The bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...],
     "labels", "nodes"}``, rendered item by item."""
     q = encode_basestring_ascii
+    nodes = sorted(graph.adj)
+    quoted = dict(zip(nodes, map(q, nodes)))  # each name is quoted once
     members = (
-        '"edges": ' + json_block([_EDGE % (q(a), q(b), int.__repr__(w)) for a, b, w in graph.edges()], 1),
+        '"edges": ' + json_edges(graph.edges(), quoted),
         '"labels": ' + json_block([f"{q(n)}: {float.__repr__(graph.labels[n])}" for n in sorted(graph.labels)], 1, "{}"),
-        '"nodes": ' + json_block(map(q, sorted(graph.adj)), 1),
+        '"nodes": ' + json_block(quoted.values(), 1),
     )
     write_text(path, json_block(members, 0, "{}") + "\n")
 

@@ -15,7 +15,8 @@ steps the stages marked ``forked`` (``networks``, ``metrics``) while the
 parent steps ``text`` and ``annotations``; the parent reaps the child, adds
 the stages the child recorded and runs ``report``.  ``run_stage`` takes one
 step against ``output_dir``, so ``get`` reads the files earlier steps wrote.
-Both write the same bytes.  The manifest records what the bundle is built from
+Both write the same bytes, and both pause the cyclic collector while they
+build.  The manifest records what the bundle is built from
 (``_built_from``) and the ``stages`` run since ``ingest``; ``run_stage``
 refuses other inputs or another config, but not another name for the directory.
 
@@ -51,6 +52,7 @@ from .annotations import (
     write_sweep_csv,
 )
 from .commnet import (
+    EXPORTERS,
     NetworkKind,
     all_communication,
     attach_stances,
@@ -117,10 +119,6 @@ TOPICS_FILE = TEXT_DIR + "/topics_{}.json"
 _NETWORK_NAMES = ("retweet", "mention", "reply", "all_communication", "reciprocal")
 _INFLUENCER_GROUPS = (Stance.BELIEVER, Stance.DISBELIEVER)
 _DEFAULT_GRID = tuple(round(i * 0.05, 2) for i in range(21))
-# A build keeps tens of thousands of small objects alive to its end; at the
-# default first-generation threshold (700) the cyclic collector walks them
-# hundreds of times and frees next to nothing.
-_BUILD_GC_THRESHOLD = (100_000, 50, 100)
 
 
 class ConfigError(ValueError):
@@ -188,7 +186,7 @@ class PipelineConfig:
         if self.reciprocal_base not in _NETWORK_NAMES[:4]:
             raise ConfigError(f"reciprocal_base must be one of {_NETWORK_NAMES[:4]}")
         for fmt in self.export_formats:
-            if fmt not in ("csv", "dot", "gexf"):
+            if fmt not in EXPORTERS:
                 raise ConfigError(f"unknown export format {fmt!r}")
         if self.min_cooccurrence < 1 or self.gamma < 1 or self.max_passes < 1:
             raise ConfigError("min_cooccurrence, gamma, and max_passes must be >= 1")
@@ -379,36 +377,23 @@ def _failing_as(stage: str) -> Iterator[None]:
 
 
 @contextmanager
-def _gc_threshold_raised() -> Iterator[None]:
-    """Run the block with the collector's threshold at ``_BUILD_GC_THRESHOLD``,
-    then restore the caller's, however the block ends."""
-    before = gc.get_threshold()
-    gc.set_threshold(*_BUILD_GC_THRESHOLD)
-    try:
-        yield
-    finally:
-        gc.set_threshold(*before)
+def _gc_paused() -> Iterator[None]:
+    """Run the block with the cyclic collector off, then turn it back on if it
+    was on before, however the block ends.
 
-
-@contextmanager
-def _gc_frozen() -> Iterator[None]:
-    """Run the block with every object the collector tracks frozen (``gc.freeze``),
-    then unfreeze them, however the block ends.
-
-    After a fork, a collection in either process writes to the header of
-    each object it traverses, and so copies every page that holds one: on a
-    16k-tweet build, the first one in the parent's lane took 60-75 ms.
-    Frozen, the objects built before the fork are never traversed.  A caller
-    that froze objects itself is left as it was: the block freezes nothing.
+    A build keeps nearly all it makes alive to its end and leaves only a
+    few hundred objects in reference cycles, so a collection frees next to
+    nothing.  A forked child inherits the paused collector, so neither lane
+    walks the objects built before the fork and copies the pages that hold
+    them.  The threshold and the freeze state are the caller's throughout.
     """
-    if gc.get_freeze_count():
-        yield
-        return
-    gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 def _export_path(name: str, fmt: str) -> str:
@@ -652,13 +637,12 @@ def _location_free(built_from: dict[str, Any]) -> dict[str, Any]:
 def run_stage(name: str, cfg: PipelineConfig) -> None:
     """Run one stage against ``cfg.output_dir`` (created if needed), checking the manifest first.
 
-    The cyclic collector's threshold is raised while the stage runs and the
-    caller's is restored afterwards, whether the stage succeeds or fails.
+    The cyclic collector is paused while the stage runs (``_gc_paused``).
     """
     if name not in _STAGES:
         raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
     cfg.validate()
-    with _gc_threshold_raised(), _failing_as(name):
+    with _gc_paused(), _failing_as(name):
         bundle = _Bundle(Path(cfg.output_dir), cfg)
         manifest = bundle.root / MANIFEST_FILE
         if name == "ingest":  # a new build: delete the files a bundle for cfg does not list
@@ -692,14 +676,13 @@ def _step_beside_child(bundle: _Bundle, forked: tuple[str, ...], own: list[str])
     The child sends a JSON line ``[stage, error]`` down a pipe for each stage
     it records (``error`` null) or fails, and always leaves by ``os._exit``.
     The child is reaped even if ``own`` fails, and the stages it recorded
-    join ``bundle.stages``.  Both processes step with the objects built
-    before the fork frozen (``_gc_frozen``).  Of two failures, the stage earlier in
+    join ``bundle.stages``.  Of two failures, the stage earlier in
     ``STAGE_ORDER`` is raised.
     """
     sys.stdout.flush()
     sys.stderr.flush()  # else the child would print what is still buffered a second time
     read_end, write_end = os.pipe()
-    with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as sink, _gc_frozen():
+    with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as sink:
         pid = os.fork()
         if pid == 0:
             exit_code = 1
@@ -753,13 +736,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     place.  It is replaced only if it is empty or holds a manifest, so a
     mistyped path cannot wipe an unrelated directory.
 
-    The cyclic collector's threshold is raised for the build, the forked
-    child included, and the caller's is restored afterwards, whether the
-    build succeeds or fails.
+    The cyclic collector is paused for the build (``_gc_paused``), the
+    forked child included.
     """
     cfg.validate()
     out_dir = Path(cfg.output_dir)
-    with _gc_threshold_raised(), _failing_as("run"):
+    with _gc_paused(), _failing_as("run"):
         _refuse_foreign(out_dir, "run")
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(

@@ -328,7 +328,7 @@ class TestExports:
         assert loaded == net.edges
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match="'graphml'; use one of dot, gexf, csv"):
             export_graph(self.simple_net(), "graphml", tmp_path / "x")
 
 

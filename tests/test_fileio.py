@@ -1,4 +1,5 @@
 import codecs
+import json
 import os
 
 import pytest
@@ -18,6 +19,15 @@ def test_json_dialect(tmp_path):
     write_json(path, {"b": [1, 2.5], "a": "é"})
     assert path.read_bytes() == b'{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
     assert read_json(path) == {"a": "é", "b": [1, 2.5]}
+
+
+def test_json_edges_is_the_json_layout_of_edge_arrays():
+    names = ("a", 'é"\\', "b")
+    quoted = {name: json.dumps(name) for name in names}
+    edges = [("a", "b", 3), ("a", 'é"\\', 1), ('é"\\', "a", 12)]
+    document = fileio.json_block(['"edges": ' + fileio.json_edges(edges, quoted)], 0, "{}") + "\n"
+    assert document == json.dumps({"edges": [list(edge) for edge in edges]}, indent=2) + "\n"
+    assert fileio.json_edges([], quoted) == "[]"
 
 
 def test_jsonl_dialect(tmp_path):

@@ -12,7 +12,8 @@ Each relation transforms the demo inputs, builds a second bundle with
   ``corpus.jsonl`` (the same lines in the new order) and the two topic
   models, since LDA depends on document order;
 - renaming: one prefix on every user id keeps the ids in the same order, so
-  every file equals its counterpart once the prefix is removed.
+  every file equals its counterpart once the prefix is removed; so does one
+  prefix on every hashtag, but for the two topic models.
 
 Negation is exact in IEEE arithmetic, through sums and weighted averages,
 so the flipped values are compared with ``==``.
@@ -27,6 +28,7 @@ from dataclasses import replace
 
 import pytest
 
+from stancelab.corpus import normalize_hashtag
 from stancelab.demo import DEMO_SEEDS, write_demo_config
 from stancelab.fileio import read_csv, write_csv
 from stancelab.pipeline import PipelineConfig, run_pipeline
@@ -128,6 +130,36 @@ def test_prefixing_every_user_id_renames_it_in_every_file(demo):
     assert prefix in renamed["stance.csv"] and prefix in renamed["networks/mention.json"]
     for name, text in bundle.items():
         assert renamed[name].replace(prefix, "") == text, name
+
+
+def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):
+    """The prefix goes on each entry of the records' ``hashtags`` lists, after
+    each ``#`` in the tweet text, and on each seed tag.  It is already case
+    folded, so ``normalize_hashtag`` keeps it, and it keeps the tags in the
+    same order among themselves.  The LDA vocabulary sorts the tags together
+    with the words, though, so tied top words may come out in another order
+    in ``text/topics_*.json``; those two files are left out."""
+    base, cfg, lines, bundle = demo
+    prefix = "zq"
+    assert normalize_hashtag(prefix) == prefix
+    for path in cfg.input_files().values():
+        assert prefix not in path.read_text(encoding="utf-8").casefold()
+    assert not [name for name, text in bundle.items() if prefix in text]
+    renamed_lines = []
+    for line in lines:
+        tweet = json.loads(line)
+        tweet["hashtags"] = [prefix + tag for tag in tweet["hashtags"]]
+        tweet["text"] = tweet["text"].replace("#", "#" + prefix)
+        renamed_lines.append(json.dumps(tweet) + "\n")
+    corpus, seeds = base / "tagged_corpus.jsonl", base / "tagged_seeds.csv"
+    corpus.write_text("".join(renamed_lines), encoding="utf-8")
+    write_csv(seeds, ("hashtag", "label"), [(prefix + tag, label) for tag, label in DEMO_SEEDS])
+    renamed = build(cfg, base / "tagged", corpus_path=corpus, seed_file=seeds)
+    assert sorted(renamed) == sorted(bundle)
+    assert prefix in renamed["hashtag_graph.json"] and prefix in renamed["corpus.jsonl"]
+    for name, text in bundle.items():
+        if not name.startswith("text/topics_"):
+            assert renamed[name].replace(prefix, "") == text, name
 
 
 @pytest.mark.parametrize("shuffle_seed", range(5))

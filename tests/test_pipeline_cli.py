@@ -642,9 +642,11 @@ class TestForkedStages:
 
 
 class TestCollectorThreshold:
-    """A build runs with the collector's threshold raised, in the forked child
-    too, and leaves the caller's threshold and enabled state as they were,
-    whether it succeeds or a stage fails."""
+    """A build runs with the cyclic collector off: in ``run_pipeline``'s
+    head, in the forked child's stages, in the parent's lane and in
+    ``report``, and in ``run_stage``.  Afterwards the caller's enabled state,
+    threshold and freeze count are as they were, whether the build succeeds
+    or a stage fails."""
 
     CALLER = (1234, 5, 6)
 
@@ -654,16 +656,20 @@ class TestCollectorThreshold:
         gc.set_threshold(*self.CALLER)
         if not request.param:
             gc.disable()
-        yield self.CALLER, request.param
+        yield request.param, self.CALLER, gc.get_freeze_count()
         gc.set_threshold(*threshold)
         (gc.enable if enabled else gc.disable)()
 
     @staticmethod
-    def record_threshold(monkeypatch, log, stage, fail):
+    def caller_state():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+    @staticmethod
+    def record_enabled(monkeypatch, log, stage, fail=False):
         step = pipeline._STAGES[stage]
 
         def recording(cfg, bundle, **inputs):
-            append_record(log, [stage, list(gc.get_threshold())])
+            append_record(log, [stage, gc.isenabled()])
             if fail:
                 raise OSError(f"{stage} broke")
             step(cfg, bundle, **inputs)
@@ -673,68 +679,38 @@ class TestCollectorThreshold:
     @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
     def test_run_pipeline(self, demo_cfg, tmp_path, monkeypatch, caller_gc, fail):
         _, cfg = demo_cfg
-        log = tmp_path / "thresholds.jsonl"
-        stages = ("ingest", pipeline._CHILD_LANE[-1], "text")
+        log = tmp_path / "enabled.jsonl"
+        stages = ["ingest", "classify", *pipeline._CHILD_LANE, "text", "annotations", "report"]
         for stage in stages:
-            self.record_threshold(monkeypatch, log, stage, fail and stage == "text")
+            self.record_enabled(monkeypatch, log, stage, fail and stage == "annotations")
         if fail:
-            with pytest.raises(StageError, match="text broke"):
+            with pytest.raises(StageError, match="annotations broke"):
                 run_pipeline(cfg)
+            stages.remove("report")
         else:
             run_pipeline(cfg)
-        raised = list(pipeline._BUILD_GC_THRESHOLD)
-        assert sorted(read_records(log)) == sorted([stage, raised] for stage in stages)
-        assert (gc.get_threshold(), gc.isenabled()) == caller_gc
+        assert sorted(read_records(log)) == sorted([stage, False] for stage in stages)
+        assert self.caller_state() == caller_gc
 
     @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
     def test_run_stage(self, demo_cfg, tmp_path, monkeypatch, caller_gc, fail):
         _, cfg = demo_cfg
-        log = tmp_path / "thresholds.jsonl"
+        log = tmp_path / "enabled.jsonl"
+        self.record_enabled(monkeypatch, log, "ingest")
         run_stage("ingest", cfg)
-        assert (gc.get_threshold(), gc.isenabled()) == caller_gc
-        self.record_threshold(monkeypatch, log, "hashtags", fail)
+        assert self.caller_state() == caller_gc
+        self.record_enabled(monkeypatch, log, "hashtags", fail)
         if fail:
             with pytest.raises(StageError, match="hashtags broke"):
                 run_stage("hashtags", cfg)
         else:
             run_stage("hashtags", cfg)
-        assert read_records(log) == [["hashtags", list(pipeline._BUILD_GC_THRESHOLD)]]
-        assert (gc.get_threshold(), gc.isenabled()) == caller_gc
+        assert read_records(log) == [["ingest", False], ["hashtags", False]]
+        assert self.caller_state() == caller_gc
 
 
 class TestFrozenAcrossTheFork:
-    """Both lanes step with the objects built before the fork frozen, so a
-    collection in either process leaves them alone; the caller's freeze
-    state is left as it was, whether the build succeeds or fails."""
-
-    @staticmethod
-    def record_frozen(monkeypatch, log, stage, fail=False):
-        step = pipeline._STAGES[stage]
-
-        def recording(cfg, bundle, **inputs):
-            append_record(log, [stage, gc.get_freeze_count() > 0])
-            if fail:
-                raise OSError(f"{stage} broke")
-            step(cfg, bundle, **inputs)
-
-        monkeypatch.setitem(pipeline._STAGES, stage, recording)
-
-    @pytest.mark.parametrize("fail", [False, True], ids=["succeeds", "fails"])
-    def test_lanes_run_frozen_and_nothing_stays_frozen(self, demo_cfg, tmp_path, monkeypatch, fail):
-        _, cfg = demo_cfg
-        log = tmp_path / "frozen.jsonl"
-        stages = ("classify", pipeline._CHILD_LANE[0], "text")
-        for stage in stages:
-            self.record_frozen(monkeypatch, log, stage, fail and stage == "text")
-        if fail:
-            with pytest.raises(StageError, match="text broke"):
-                run_pipeline(cfg)
-        else:
-            self.record_frozen(monkeypatch, log, "report")
-            run_pipeline(cfg)
-        expected = [["classify", False], [pipeline._CHILD_LANE[0], True], ["text", True]] + [["report", False]] * (not fail)
-        assert sorted(read_records(log)) == sorted(expected)
-        assert gc.get_freeze_count() == 0
+    """A caller's frozen objects stay frozen through a build and its fork."""
 
     def test_a_caller_that_froze_objects_keeps_them_frozen(self, demo_cfg):
         _, cfg = demo_cfg
