@@ -334,7 +334,7 @@ def export_graph(
     passes it, so the network is sorted once.
     """
     try:
-        exporter = EXPORTERS[fmt.lower()]
+        exporter = EXPORTERS[fmt]
     except KeyError:
         raise ValueError(f"unknown export format {fmt!r}; use one of {', '.join(EXPORTERS)}") from None
     exporter(net, Path(path), net.sorted_edges() if edges is None else edges)

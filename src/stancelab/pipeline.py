@@ -187,7 +187,7 @@ class PipelineConfig:
             raise ConfigError(f"reciprocal_base must be one of {_NETWORK_NAMES[:4]}")
         for fmt in self.export_formats:
             if fmt not in EXPORTERS:
-                raise ConfigError(f"unknown export format {fmt!r}")
+                raise ConfigError(f"unknown export format {fmt!r}; use one of {', '.join(EXPORTERS)}")
         if self.min_cooccurrence < 1 or self.gamma < 1 or self.max_passes < 1:
             raise ConfigError("min_cooccurrence, gamma, and max_passes must be >= 1")
         if self.top_k < 1 or self.lda_topics < 1 or self.top_n_words < 1:
@@ -498,17 +498,11 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
     stopwords = load_stopwords(cfg.stopword_file) if cfg.stopword_file else default_stopwords()
     exclude = corpus.all_hashtags() if cfg.topics_exclude_hashtags_in_report else None
 
-    by_group: dict[Stance, list] = {group: [] for group in _INFLUENCER_GROUPS}
     stance_of = stance.stances_of(corpus.users)
-    for t in corpus.tweets:
-        tweets = by_group.get(stance_of[t.user_id])
-        if tweets is not None:
-            tweets.append(t)
-
-    views_of: dict = {}  # a text both groups posted is tokenized once
-    for group, tweets in by_group.items():
+    for group in _INFLUENCER_GROUPS:
+        tweets = [t for t in corpus.tweets if stance_of[t.user_id] is group]
         # Frequencies are counts, so the pooled documents give the same report.
-        views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user, views_of=views_of)
+        views = tokenize(tweets, stopwords, pool_by_user=cfg.lda_pool_by_user)
         frequencies = unigram_frequencies(views[cfg.frequencies_include_hashtags], cfg.top_n_words)
         write_frequency_csv(frequencies, bundle.file(FREQUENCIES_FILE.format(group.value)))
 

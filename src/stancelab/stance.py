@@ -57,12 +57,8 @@ class StanceTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def stance_of(self, user_id: str, default: Stance = Stance.UNCLASSIFIED) -> Stance:
-        row = self.rows.get(user_id)
-        return row.stance if row is not None else default
-
     def stances_of(self, users: Iterable[str]) -> dict[str, Stance]:
-        """Each user's ``stance_of``, in one pass."""
+        """Each user's stance, unclassified for a user without a row."""
         rows = self.rows
         unclassified = Stance.UNCLASSIFIED
         return {u: rows[u].stance if u in rows else unclassified for u in users}

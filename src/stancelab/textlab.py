@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TweetRecord, normalize_hashtag
+from .corpus import TweetRecord, normalize_hashtag
 from .fileio import write_csv, write_json
 
 __all__ = [
@@ -134,31 +134,24 @@ def _tokenize_by_passes(text: str, stopwords: frozenset[str]) -> tuple[tuple[str
 
 
 def tokenize(
-    corpus: Corpus | Iterable[TweetRecord],
-    stopwords: frozenset[str],
-    *,
-    pool_by_user: bool = False,
-    views_of: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None = None,
+    tweets: Iterable[TweetRecord], stopwords: frozenset[str], *, pool_by_user: bool = False
 ) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     """The documents without hashtags and the documents with them, from one
-    pass per distinct text: one TokenizedDoc per tweet in corpus order (empty
-    docs included; the LDA fit drops them).  Each distinct text is tokenized
-    once, so a retweet, which copies its original's text, costs a lookup.
-    ``views_of`` maps each text to its ``tokenize_text_both`` result; pass
-    one dict to several calls (with the same stop words) to share it.
+    pass per distinct text: one TokenizedDoc per tweet in the given order
+    (empty docs included; the LDA fit drops them).  Each distinct text is
+    tokenized once per call, so a retweet, which copies its original's text,
+    costs a lookup.
 
     ``pool_by_user`` concatenates each author's tweets into a single document
     (doc_id = user_id, first-author order), which helps topic models cope
     with very short messages.
     """
-    tweets = corpus.tweets if isinstance(corpus, Corpus) else corpus
-    if views_of is None:
-        views_of = {}
+    views_by_text: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     docs = []
     for t in tweets:
-        views = views_of.get(t.text)
+        views = views_by_text.get(t.text)
         if views is None:
-            views = views_of[t.text] = tokenize_text_both(t.text, stopwords)
+            views = views_by_text[t.text] = tokenize_text_both(t.text, stopwords)
         docs.append((t.user_id if pool_by_user else t.tweet_id, views))
     if pool_by_user:
         pooled: dict[str, tuple[list[str], list[str]]] = {}

@@ -4,6 +4,7 @@ to record each fitted topic model for the output checks, so a refactor that
 drops one, or calls it through a reference taken at import time, would
 silently break those checks and spans."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 import stancelab.pipeline as pipeline
 from stancelab.demo import write_demo_config
 
-WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKER = BENCH / "worker.py"
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,20 @@ def test_every_traced_name_is_a_pipeline_attribute(worker):
 
 def test_stage_table_matches_stage_order():
     assert tuple(pipeline._STAGES) == pipeline.STAGE_ORDER
+
+
+def test_bench_stage_names_are_the_stage_order():
+    """``bench/run.py`` keys its per-stage metrics by its own ``STAGES``, so a
+    traced build through a stage missing there would raise ``KeyError``.
+    The tuple is read from the source: importing ``run.py`` would import
+    networkx and SciPy, which the tests do not need."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    [stages] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
+    ]
+    assert ast.literal_eval(stages) == pipeline.STAGE_ORDER
 
 
 def test_patched_lda_fit_is_the_one_run_pipeline_calls(worker, tmp_path, monkeypatch):

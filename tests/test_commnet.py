@@ -328,8 +328,33 @@ class TestExports:
         assert loaded == net.edges
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="'graphml'; use one of dot, gexf, csv"):
-            export_graph(self.simple_net(), "graphml", tmp_path / "x")
+        for fmt in ("graphml", "CSV", "Dot"):  # a name is looked up as given
+            with pytest.raises(ValueError, match=f"'{fmt}'; use one of dot, gexf, csv"):
+                export_graph(self.simple_net(), fmt, tmp_path / "x")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_config_and_export_graph_accept_the_same_format_names(tmp_path):
+    from dataclasses import replace
+
+    from stancelab import pipeline
+    from stancelab.demo import write_demo_config
+
+    cfg = pipeline.PipelineConfig.from_file(write_demo_config(tmp_path / "inputs", output_dir=tmp_path / "out"))
+    net = CommNetwork(kind=NetworkKind.ALL_COMMUNICATION)
+    net.add_edge("a", "b", 1)
+
+    def accepted(check, fmt):
+        try:
+            check(fmt)
+        except ValueError:  # ConfigError is one
+            return False
+        return True
+
+    names = ["csv", "gexf", "dot", "CSV", "Dot", "GEXF", " csv", "graphml", ""]
+    by_config = [fmt for fmt in names if accepted(lambda f: replace(cfg, export_formats=(f,)).validate(), fmt)]
+    by_export = [fmt for fmt in names if accepted(lambda f: export_graph(net, f, tmp_path / "x"), fmt)]
+    assert by_config == by_export == ["csv", "gexf", "dot"]
 
 
 def test_network_json_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
-"""Whole-bundle metamorphic relations on the demo bundle.
+"""Whole-bundle metamorphic relations on the demo bundle, and the first two
+on small random corpora too.
 
-Each relation transforms the demo inputs, builds a second bundle with
+Each relation transforms the inputs, builds a second bundle with
 ``run_pipeline`` and compares it file by file with the first:
 
 - seed sign flip: negating every seed label swaps the two camps, so each
@@ -13,7 +14,13 @@ Each relation transforms the demo inputs, builds a second bundle with
   models, since LDA depends on document order;
 - renaming: one prefix on every user id keeps the ids in the same order, so
   every file equals its counterpart once the prefix is removed; so does one
-  prefix on every hashtag, but for the two topic models.
+  prefix on every hashtag, but for the two topic models;
+- one camp's text: rewriting the words of the disbelievers' tweets leaves
+  the believers' frequency and topic files as they were, since each camp's
+  text pass reads only that camp's tweets.
+
+The random corpora (``tests/util.py:random_corpus``, drawn by hypothesis)
+reach shapes the demo lacks: an empty camp and users without hashtags.
 
 Negation is exact in IEEE arithmetic, through sums and weighted averages,
 so the flipped values are compared with ``==``.
@@ -26,12 +33,16 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stancelab.corpus import normalize_hashtag
 from stancelab.demo import DEMO_SEEDS, write_demo_config
-from stancelab.fileio import read_csv, write_csv
+from stancelab.fileio import read_csv, write_csv, write_jsonl
+from stancelab.hashtag_graph import build_cooccurrence_graph
 from stancelab.pipeline import PipelineConfig, run_pipeline
+from util import random_corpus, record_to_dict
 
 # file -> index of the column the seed flip negates
 NEGATED = {"hashtag_labels.csv": 1, "stance.csv": 1}
@@ -82,19 +93,47 @@ def demo(tmp_path_factory):
     return base, cfg, lines, build(cfg, base / "bundle")
 
 
-def test_seed_sign_flip_swaps_the_camps(demo):
-    base, cfg, _, bundle = demo
-    seeds = base / "negated_seeds.csv"
-    write_csv(seeds, ("hashtag", "label"), [(tag, -label) for tag, label in DEMO_SEEDS])
-    flipped = build(cfg, base / "flipped", seed_file=seeds)
+@st.composite
+def small_inputs(draw):
+    """A random corpus and seed labels for one to three tags of its
+    co-occurrence graph (propagation refuses a graph with no seeded node)."""
+    corpus = random_corpus(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 24)))
+    tags = sorted(build_cooccurrence_graph(corpus, PipelineConfig.min_cooccurrence).adj)
+    assume(tags)
+    seeds = draw(st.dictionaries(st.sampled_from(tags), st.sampled_from([-1, 1]), min_size=1, max_size=3))
+    return corpus, sorted(seeds.items())
+
+
+def small_config(cfg: PipelineConfig, base, corpus, seeds) -> tuple[PipelineConfig, list[str]]:
+    """The demo config over a random corpus and its seeds, with bot scores
+    for two users in three, account types for the first three users and a
+    few Gibbs sweeps; and the corpus lines."""
+    users = sorted(corpus.users)
+    paths = {
+        "corpus_path": base / "corpus.jsonl",
+        "seed_file": base / "seeds.csv",
+        "bot_scores_path": base / "bot_scores.csv",
+        "account_types_path": base / "account_types.csv",
+    }
+    write_jsonl(paths["corpus_path"], [record_to_dict(t) for t in corpus.tweets])
+    write_csv(paths["seed_file"], ("hashtag", "label"), seeds)
+    write_csv(paths["bot_scores_path"], ("user_id", "probability"), [(u, i % 5 / 4) for i, u in enumerate(users) if i % 3])
+    write_csv(paths["account_types_path"], ("user_id", "type"), [(u, ("news", "other")[i % 2]) for i, u in enumerate(users[:3])])
+    lines = paths["corpus_path"].read_text(encoding="utf-8").splitlines(keepends=True)
+    return replace(cfg, lda_iterations=3, **paths), lines
+
+
+def assert_seed_sign_flip_swaps_the_camps(cfg, base, seeds, bundle) -> None:
+    negated = base / "negated_seeds.csv"
+    write_csv(negated, ("hashtag", "label"), [(tag, -label) for tag, label in seeds])
+    flipped = build(cfg, base / "flipped", seed_file=negated)
     assert sorted(map(swap, bundle)) == sorted(flipped)
-    assert "believer" in bundle["stance.csv"] and "disbeliever" in bundle["stance.csv"]
     for name, text in bundle.items():
         got = flipped[swap(name)]
         if name in NEGATED:
             col = NEGATED[name]
             want, have = rows(name, swap(text)), rows(name, got)
-            assert len(want) == len(have) > 1, name
+            assert len(want) == len(have), name
             assert want[0] == have[0], name
             for w, h in zip(want[1:], have[1:]):
                 assert w[:col] + w[col + 1 :] == h[:col] + h[col + 1 :], name
@@ -105,8 +144,24 @@ def test_seed_sign_flip_swaps_the_camps(demo):
             assert got == swap(text), name
 
 
-def test_prefixing_every_user_id_renames_it_in_every_file(demo):
-    base, cfg, lines, bundle = demo
+def test_seed_sign_flip_swaps_the_camps(demo):
+    base, cfg, _, bundle = demo
+    assert "believer" in bundle["stance.csv"] and "disbeliever" in bundle["stance.csv"]
+    assert all(len(rows(name, bundle[name])) > 1 for name in NEGATED)
+    assert_seed_sign_flip_swaps_the_camps(cfg, base, DEMO_SEEDS, bundle)
+
+
+@pytest.mark.filterwarnings("ignore:topic count .* exceeds vocabulary size")  # the random texts share few words
+@settings(max_examples=20)
+@given(inputs=small_inputs())
+def test_seed_sign_flip_swaps_the_camps_on_small_corpora(demo, tmp_path_factory, inputs):
+    corpus, seeds = inputs
+    base = tmp_path_factory.mktemp("flip")
+    cfg, _ = small_config(demo[1], base, corpus, seeds)
+    assert_seed_sign_flip_swaps_the_camps(cfg, base, seeds, build(cfg, base / "bundle"))
+
+
+def assert_user_id_prefix_renames_it_in_every_file(cfg, base, lines, bundle) -> dict[str, str]:
     prefix = "acct_"
     for path in cfg.input_files().values():
         assert prefix not in path.read_text(encoding="utf-8")
@@ -127,9 +182,46 @@ def test_prefixing_every_user_id_renames_it_in_every_file(demo):
         write_csv(inputs[field], columns, rows)
     renamed = build(cfg, base / "renamed", **inputs)
     assert sorted(renamed) == sorted(bundle)
-    assert prefix in renamed["stance.csv"] and prefix in renamed["networks/mention.json"]
+    assert prefix in renamed["stance.csv"]
     for name, text in bundle.items():
         assert renamed[name].replace(prefix, "") == text, name
+    return renamed
+
+
+def test_prefixing_every_user_id_renames_it_in_every_file(demo):
+    base, cfg, lines, bundle = demo
+    renamed = assert_user_id_prefix_renames_it_in_every_file(cfg, base, lines, bundle)
+    assert "acct_" in renamed["networks/mention.json"]
+
+
+@pytest.mark.filterwarnings("ignore:topic count .* exceeds vocabulary size")  # the random texts share few words
+@settings(max_examples=20)
+@given(inputs=small_inputs())
+def test_prefixing_every_user_id_renames_it_in_every_file_on_small_corpora(demo, tmp_path_factory, inputs):
+    base = tmp_path_factory.mktemp("prefix")
+    cfg, lines = small_config(demo[1], base, *inputs)
+    assert_user_id_prefix_renames_it_in_every_file(cfg, base, lines, build(cfg, base / "bundle"))
+
+
+def test_rewriting_the_disbelievers_text_leaves_the_believers_text_files(demo):
+    """Each word of a disbeliever's tweet is reversed; the hashtags, and so
+    the stances, stay.  Only the disbelievers' text files may change."""
+    base, cfg, lines, bundle = demo
+    disbelievers = {row[0] for row in rows("stance.csv", bundle["stance.csv"])[1:] if row[2] == "disbeliever"}
+    assert disbelievers
+    rewritten_lines = []
+    for line in lines:
+        tweet = json.loads(line)
+        if tweet["user_id"] in disbelievers:
+            tweet["text"] = " ".join(w if w[:1] in "#@" else w[::-1] for w in tweet["text"].split())
+        rewritten_lines.append(json.dumps(tweet) + "\n")
+    corpus = base / "rewritten_corpus.jsonl"
+    corpus.write_text("".join(rewritten_lines), encoding="utf-8")
+    rewritten = build(cfg, base / "rewritten", corpus_path=corpus)
+    assert rewritten["stance.csv"] == bundle["stance.csv"]
+    assert rewritten["text/frequencies_disbeliever.csv"] != bundle["text/frequencies_disbeliever.csv"]
+    for name in ("text/frequencies_believer.csv", "text/topics_believer.json"):
+        assert rewritten[name] == bundle[name], name
 
 
 def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):

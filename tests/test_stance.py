@@ -176,6 +176,7 @@ def test_classification_reads_each_author_only():
 
 
 @given(st.dictionaries(st.sampled_from("abcdef"), st.sampled_from(Stance)), st.lists(st.sampled_from("abcdefgh")))
-def test_stances_of_is_stance_of_for_each_user(rows, users):
+def test_stances_of_looks_up_each_users_row(rows, users):
     table = StanceTable(rows={u: StanceRow(u, None, s, 0) for u, s in rows.items()})
-    assert table.stances_of(users) == {u: table.stance_of(u) for u in users}
+    expected = {u: table.rows[u].stance if u in table.rows else Stance.UNCLASSIFIED for u in users}
+    assert table.stances_of(users) == expected

@@ -70,7 +70,7 @@ class TestTokenize:
             make_tweet("t1", "u1", text="solar power wins"),
             make_tweet("t2", "u2", text=""),
         )
-        docs, _ = tokenize(corpus, frozenset())
+        docs, _ = tokenize(corpus.tweets, frozenset())
         assert [d.doc_id for d in docs] == ["t1", "t2"]
         assert docs[0].tokens == ("solar", "power", "wins")
         assert docs[1].tokens == ()
@@ -81,7 +81,7 @@ class TestTokenize:
             make_tweet("t2", "u2", text="coal lobby"),
             make_tweet("t3", "u1", text="wind farms"),
         )
-        docs, _ = tokenize(corpus, frozenset(), pool_by_user=True)
+        docs, _ = tokenize(corpus.tweets, frozenset(), pool_by_user=True)
         by_id = {d.doc_id: d.tokens for d in docs}
         assert by_id == {"u1": ("solar", "power", "wind", "farms"), "u2": ("coal", "lobby")}
 
@@ -302,7 +302,7 @@ def test_tokenize_text_both_matches_the_pass_by_pass_oracle(text):
 )
 def test_tokenize_views_pool_in_first_author_order(tweets, pool_by_user):
     corpus = make_corpus(*(make_tweet(f"t{i}", user, text=text) for i, (user, text) in enumerate(tweets)))
-    words, tagged = tokenize(corpus, STOPS, pool_by_user=pool_by_user)
+    words, tagged = tokenize(corpus.tweets, STOPS, pool_by_user=pool_by_user)
     expected: dict[str, tuple[list, list]] = {}
     for i, (user, text) in enumerate(tweets):
         views = expected.setdefault(user if pool_by_user else f"t{i}", ([], []))
@@ -320,34 +320,13 @@ def test_tokenize_repeated_texts_gives_the_docs_of_one_call_per_tweet(distinct, 
     chosen = [distinct[i % len(distinct)] for i in picks]
     corpus = make_corpus(*(make_tweet(f"t{i}", "u", text=text) for i, text in enumerate(chosen)))
     with patch.object(textlab, "tokenize_text_both", wraps=textlab.tokenize_text_both) as spy:
-        words, tagged = tokenize(corpus, STOPS)
+        words, tagged = tokenize(corpus.tweets, STOPS)
     assert spy.call_count == len(set(chosen))
     for kept, docs in ((False, words), (True, tagged)):
         assert docs == [
             TokenizedDoc(doc_id=f"t{i}", tokens=tokenize_text_both(text, STOPS)[kept], hashtags_included=kept)
             for i, text in enumerate(chosen)
         ]
-
-
-@given(
-    st.lists(texts, min_size=1, max_size=3),
-    st.lists(st.integers(0, 2), max_size=6),
-    st.lists(st.integers(0, 2), max_size=6),
-)
-def test_tokenize_calls_sharing_views_tokenize_each_text_once(distinct, first, second):
-    """Two groups' calls with one ``views_of`` dict tokenize a text both
-    groups posted once, and each call gives the docs it gives alone."""
-    groups = [[distinct[i % len(distinct)] for i in picks] for picks in (first, second)]
-    corpora = [
-        make_corpus(*(make_tweet(f"t{g}_{i}", f"u{g}", text=text) for i, text in enumerate(chosen)))
-        for g, chosen in enumerate(groups)
-    ]
-    alone = [tokenize(corpus, STOPS) for corpus in corpora]
-    views_of: dict = {}
-    with patch.object(textlab, "tokenize_text_both", wraps=textlab.tokenize_text_both) as spy:
-        shared = [tokenize(corpus, STOPS, views_of=views_of) for corpus in corpora]
-    assert spy.call_count == len(set(groups[0]) | set(groups[1]))
-    assert shared == alone
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024])

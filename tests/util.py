@@ -763,7 +763,8 @@ def oracle_group_subgraph(net: CommNetwork, table, groups) -> CommNetwork:
     """``commnet.group_subgraph`` as a scan of the whole network per call
     (the code it had before it assembled subgraphs from a stance split)."""
     wanted = set(groups)
-    keep = {n for n in net.nodes if table.stance_of(n) in wanted}
+    rows = table.rows
+    keep = {n for n in net.nodes if (rows[n].stance if n in rows else Stance.UNCLASSIFIED) in wanted}
     return CommNetwork(
         kind=net.kind,
         nodes=keep,
