@@ -189,12 +189,11 @@ def reciprocal_subnetwork(net: CommNetwork) -> CommNetwork:
 
 @dataclass(frozen=True)
 class StanceSplit:
-    """One network's nodes, and their attributes, by the node's stance, and
-    its edges by the stances of their two ends: ``edges[s][t]`` holds the
-    edges from a node of stance s to one of stance t."""
+    """One network's nodes by the node's stance, and its edges by the
+    stances of their two ends: ``edges[s][t]`` holds the edges from a node
+    of stance s to one of stance t."""
 
     nodes: dict[Stance, set[str]]
-    node_attr: dict[Stance, dict[str, str]]
     edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]]
 
 
@@ -206,22 +205,19 @@ def split_by_stance(net: CommNetwork, table: StanceTable) -> StanceSplit:
     nodes: dict[Stance, set[str]] = {s: set() for s in Stance}
     for node, s in stance.items():
         nodes[s].add(node)
-    node_attr: dict[Stance, dict[str, str]] = {s: {} for s in Stance}
-    for node, value in net.node_attr.items():
-        if node in stance:
-            node_attr[stance[node]][node] = value
     edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]] = {s: {t: {} for t in Stance} for s in Stance}
     out_parts = {node: edges[s] for node, s in stance.items()}  # a node's out-edges, by the target's stance
     for edge, w in net.edges.items():
         a, b = edge
         out_parts[a][stance[b]][edge] = w
-    return StanceSplit(nodes, node_attr, edges)
+    return StanceSplit(nodes, edges)
 
 
 def group_subgraph(
     net: CommNetwork, table: StanceTable, groups: Iterable[Stance], *, split: StanceSplit | None = None
 ) -> CommNetwork:
-    """Induced subgraph on nodes whose stance is in ``groups``.
+    """Induced subgraph on nodes whose stance is in ``groups``, with their
+    ``node_attr`` entries.
 
     Nodes missing from the table (e.g. accounts that never authored a tweet)
     count as unclassified.  ``split`` is ``split_by_stance(net, table)``;
@@ -233,13 +229,12 @@ def group_subgraph(
     if split is None:
         split = split_by_stance(net, table)
     keep: set[str] = set()
-    node_attr: dict[str, str] = {}
     edges: dict[tuple[str, str], int] = {}
     for s in wanted:
         keep |= split.nodes[s]
-        node_attr |= split.node_attr[s]
         for t in wanted:
             edges |= split.edges[s][t]
+    node_attr = {node: value for node, value in net.node_attr.items() if node in keep}  # in net's order, not the set's
     return replace(net, nodes=keep, edges=edges, node_attr=node_attr, self_loop_count=0)
 
 

@@ -160,12 +160,12 @@ def _eigenvector_run(net: CommNetwork, tol: float, max_iter: int) -> _EigenRun:
             prev, vec = vec, np.bincount(rows, weights * vec[cols], minlength=n)
             vec /= np.linalg.norm(vec)
         return _EigenRun(dict(zip(order, vec.tolist())), longest, float(np.max(np.abs(vec - prev))), True, True)
+    # (A + I) * v as one sum per node: its own term first, then its edges in order.
+    terms_of = np.concatenate((np.arange(n), rows))
     step = math.inf
     steps = 0
     while steps < max_iter:
-        nxt = vec.copy()
-        if len(rows):
-            np.add.at(nxt, rows, weights * vec[cols])
+        nxt = np.bincount(terms_of, np.concatenate((vec, weights * vec[cols])))
         nxt /= np.linalg.norm(nxt)
         step = float(np.max(np.abs(nxt - vec)))
         vec = nxt
@@ -201,13 +201,13 @@ class InfluencerReport:
     """Per-account scores/ranks on the three influence measures.
 
     measures: (weighted received count, eigenvector centrality, distinct
-    sources).  ``super_accounts`` is the union of the top-k per measure with
-    ties at the k-th rank included; ``fraction`` relates it to the analyzed
-    network's node count.
+    sources); the two counts are ints.  ``super_accounts`` is the union of
+    the top-k per measure with ties at the k-th rank included; ``fraction``
+    relates it to the analyzed network's node count.
     """
 
     k: int
-    measures: dict[str, tuple[float, float, float]]
+    measures: dict[str, tuple[int, float, int]]
     ranks: dict[str, tuple[int, int, int]]
     super_accounts: frozenset[str]
     fraction: float
@@ -224,8 +224,8 @@ def super_spreaders(base: CommNetwork, k: int = 3) -> InfluencerReport:
     """Top-k union over the three measures on the received-interactions base."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    received: dict[str, float] = {node: 0.0 for node in base.nodes}
-    sources: dict[str, float] = {node: 0.0 for node in base.nodes}
+    received = dict.fromkeys(base.nodes, 0)
+    sources = dict.fromkeys(base.nodes, 0)
     for (x, _), w in base.edges.items():
         received[x] += w
         sources[x] += 1
@@ -260,13 +260,7 @@ def write_influencer_csv(report: InfluencerReport, path: str | Path) -> None:
         path,
         ("user_id", "measure1", "measure2", "measure3", "is_super"),
         [
-            (
-                user_id,
-                int(m1) if float(m1).is_integer() else m1,
-                m2,
-                int(m3) if float(m3).is_integer() else m3,
-                "true" if user_id in supers else "false",
-            )
-            for user_id, (m1, m2, m3) in sorted(report.measures.items())
+            (user_id, *measures, "true" if user_id in supers else "false")
+            for user_id, measures in sorted(report.measures.items())
         ],
     )

@@ -17,8 +17,9 @@ the stages the child recorded and runs ``report``.  ``run_stage`` takes one
 step against ``output_dir``, so ``get`` reads the files earlier steps wrote.
 Both write the same bytes, and both pause the cyclic collector while they
 build.  The manifest records what the bundle is built from
-(``_built_from``) and the ``stages`` run since ``ingest``; ``run_stage``
-refuses other inputs or another config, but not another name for the directory.
+(``_built_from``: the config, the inputs, the package's code and NumPy's
+version) and the ``stages`` run since ``ingest``; ``run_stage`` refuses a
+bundle built from anything else, but not another name for the directory.
 
 To add a stage, write its function, taking ``(cfg, bundle)`` and, keyword-only,
 one parameter named after each intermediate in its ``reads``; add its entry at
@@ -39,8 +40,11 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
+
+import numpy
 
 from . import __version__
 from .annotations import (
@@ -472,7 +476,6 @@ def stage_metrics(
                     "n_edges": result.edge_count,
                 }
             )
-    echo_rows.sort(key=lambda row: (row["group"], row["with_unclassified"]))
     write_json(bundle.file(METRICS_FILE), echo_rows)
 
     base = influence_base(mention, retweet)
@@ -538,10 +541,25 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+@cache
+def _code_digest() -> str:
+    """SHA-256 over the package's ``.py`` and ``.txt`` files (the stop-word
+    list is one): for each, in order of its path relative to the package,
+    that path, a NUL byte and the SHA-256 of its bytes."""
+    package = Path(__file__).parent
+    files = sorted((p.relative_to(package).as_posix(), p) for p in package.rglob("*") if p.suffix in (".py", ".txt"))
+    h = hashlib.sha256()
+    for rel, path in files:
+        h.update(rel.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
 def _built_from(cfg: PipelineConfig) -> dict[str, Any]:
     return {
         "artifact": "stancelab",
         "version": __version__,
+        "code_digest": _code_digest(),  # __version__ does not change with the code
+        "numpy_version": numpy.__version__,  # the topic fits draw from its default_rng
         "config_hash": cfg.config_hash(),
         "config_text": cfg.to_text(),
         "rng_seed": cfg.rng_seed,
@@ -655,7 +673,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             # nor does a "stages" that is not a list of stage names.
             found = _location_free(found if isinstance(found, dict) else {})
             if any(found.get(key) != value for key, value in _location_free(bundle.built_from).items()):
-                raise ValueError(f"{manifest} is not from this config and these inputs; run the ingest stage first")
+                raise ValueError(f"{manifest} is not from this config, these inputs and this code; run the ingest stage first")
             stages = found.get("stages")
             if isinstance(stages, list) and all(isinstance(s, str) and s in _STAGES for s in stages):
                 bundle.stages = stages

@@ -1,5 +1,5 @@
-"""Whole-bundle metamorphic relations on the demo bundle, and the first two
-on small random corpora too.
+"""Whole-bundle metamorphic relations on the demo bundle, and all but the
+last on small random corpora too.
 
 Each relation transforms the inputs, builds a second bundle with
 ``run_pipeline`` and compares it file by file with the first:
@@ -20,7 +20,9 @@ Each relation transforms the inputs, builds a second bundle with
   text pass reads only that camp's tweets.
 
 The random corpora (``tests/util.py:random_corpus``, drawn by hypothesis)
-reach shapes the demo lacks: an empty camp and users without hashtags.
+reach shapes the demo lacks: an empty camp and users without hashtags.  The
+seed flip and user renaming also run on corpora whose networks are all
+acyclic, where eigenvector centrality takes its exact branch.
 
 Negation is exact in IEEE arithmetic, through sums and weighted averages,
 so the flipped values are compared with ``==``.
@@ -32,17 +34,19 @@ import json
 import random
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stancelab import netmetrics
 from stancelab.corpus import normalize_hashtag
 from stancelab.demo import DEMO_SEEDS, write_demo_config
 from stancelab.fileio import read_csv, write_csv, write_jsonl
 from stancelab.hashtag_graph import build_cooccurrence_graph
 from stancelab.pipeline import PipelineConfig, run_pipeline
-from util import random_corpus, record_to_dict
+from util import append_record, random_corpus, read_records, record_to_dict
 
 # file -> index of the column the seed flip negates
 NEGATED = {"hashtag_labels.csv": 1, "stance.csv": 1}
@@ -94,10 +98,12 @@ def demo(tmp_path_factory):
 
 
 @st.composite
-def small_inputs(draw):
+def small_inputs(draw, ascending=False):
     """A random corpus and seed labels for one to three tags of its
-    co-occurrence graph (propagation refuses a graph with no seeded node)."""
-    corpus = random_corpus(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 24)))
+    co-occurrence graph (propagation refuses a graph with no seeded node).
+    ``ascending`` is ``random_corpus``'s: every network is then acyclic."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corpus = random_corpus(rng, draw(st.integers(4, 24)), ascending=ascending)
     tags = sorted(build_cooccurrence_graph(corpus, PipelineConfig.min_cooccurrence).adj)
     assume(tags)
     seeds = draw(st.dictionaries(st.sampled_from(tags), st.sampled_from([-1, 1]), min_size=1, max_size=3))
@@ -224,14 +230,13 @@ def test_rewriting_the_disbelievers_text_leaves_the_believers_text_files(demo):
         assert rewritten[name] == bundle[name], name
 
 
-def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):
+def assert_hashtag_prefix_renames_it_in_every_file_but_the_topics(cfg, base, lines, seeds, bundle) -> None:
     """The prefix goes on each entry of the records' ``hashtags`` lists, after
     each ``#`` in the tweet text, and on each seed tag.  It is already case
     folded, so ``normalize_hashtag`` keeps it, and it keeps the tags in the
     same order among themselves.  The LDA vocabulary sorts the tags together
     with the words, though, so tied top words may come out in another order
     in ``text/topics_*.json``; those two files are left out."""
-    base, cfg, lines, bundle = demo
     prefix = "zq"
     assert normalize_hashtag(prefix) == prefix
     for path in cfg.input_files().values():
@@ -243,10 +248,10 @@ def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):
         tweet["hashtags"] = [prefix + tag for tag in tweet["hashtags"]]
         tweet["text"] = tweet["text"].replace("#", "#" + prefix)
         renamed_lines.append(json.dumps(tweet) + "\n")
-    corpus, seeds = base / "tagged_corpus.jsonl", base / "tagged_seeds.csv"
+    corpus, tagged_seeds = base / "tagged_corpus.jsonl", base / "tagged_seeds.csv"
     corpus.write_text("".join(renamed_lines), encoding="utf-8")
-    write_csv(seeds, ("hashtag", "label"), [(prefix + tag, label) for tag, label in DEMO_SEEDS])
-    renamed = build(cfg, base / "tagged", corpus_path=corpus, seed_file=seeds)
+    write_csv(tagged_seeds, ("hashtag", "label"), [(prefix + tag, label) for tag, label in seeds])
+    renamed = build(cfg, base / "tagged", corpus_path=corpus, seed_file=tagged_seeds)
     assert sorted(renamed) == sorted(bundle)
     assert prefix in renamed["hashtag_graph.json"] and prefix in renamed["corpus.jsonl"]
     for name, text in bundle.items():
@@ -254,16 +259,76 @@ def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):
             assert renamed[name].replace(prefix, "") == text, name
 
 
+def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics(demo):
+    base, cfg, lines, bundle = demo
+    assert_hashtag_prefix_renames_it_in_every_file_but_the_topics(cfg, base, lines, DEMO_SEEDS, bundle)
+
+
+@pytest.mark.filterwarnings("ignore:topic count .* exceeds vocabulary size")  # the random texts share few words
+@settings(max_examples=20)
+@given(inputs=small_inputs())
+def test_prefixing_every_hashtag_renames_it_in_every_file_but_the_topics_on_small_corpora(demo, tmp_path_factory, inputs):
+    corpus, seeds = inputs
+    base = tmp_path_factory.mktemp("tagged")
+    cfg, lines = small_config(demo[1], base, corpus, seeds)
+    assert_hashtag_prefix_renames_it_in_every_file_but_the_topics(cfg, base, lines, seeds, build(cfg, base / "bundle"))
+
+
+def assert_line_order_changes_only_the_corpus_and_topics(cfg, base, lines, bundle, shuffled_lines, label) -> None:
+    assert shuffled_lines != lines
+    corpus = base / f"{label}.jsonl"
+    corpus.write_text("".join(shuffled_lines), encoding="utf-8")
+    shuffled = build(cfg, base / label, corpus_path=corpus)
+    assert sorted(shuffled) == sorted(bundle)
+    changed = sorted(name for name in bundle if shuffled[name] != bundle[name])
+    assert set(changed) <= set(ORDER_DEPENDENT)
+    assert sorted(shuffled["corpus.jsonl"].splitlines()) == sorted(bundle["corpus.jsonl"].splitlines())
+
+
 @pytest.mark.parametrize("shuffle_seed", range(5))
 def test_corpus_line_order_changes_only_the_corpus_and_topics(demo, shuffle_seed):
     base, cfg, lines, bundle = demo
     shuffled_lines = list(lines)
     random.Random(shuffle_seed).shuffle(shuffled_lines)
-    assert shuffled_lines != lines
-    corpus = base / f"shuffled_{shuffle_seed}.jsonl"
-    corpus.write_text("".join(shuffled_lines), encoding="utf-8")
-    shuffled = build(cfg, base / f"shuffled_{shuffle_seed}", corpus_path=corpus)
-    assert sorted(shuffled) == sorted(bundle)
-    changed = sorted(name for name in bundle if shuffled[name] != bundle[name])
-    assert set(changed) <= set(ORDER_DEPENDENT)
-    assert sorted(shuffled["corpus.jsonl"].splitlines()) == sorted(bundle["corpus.jsonl"].splitlines())
+    assert_line_order_changes_only_the_corpus_and_topics(cfg, base, lines, bundle, shuffled_lines, f"shuffled_{shuffle_seed}")
+
+
+@pytest.mark.filterwarnings("ignore:topic count .* exceeds vocabulary size")  # the random texts share few words
+@settings(max_examples=20)
+@given(inputs=small_inputs())
+def test_corpus_line_order_changes_only_the_corpus_and_topics_on_small_corpora(demo, tmp_path_factory, inputs):
+    """The lines reversed: the tweet ids differ, so each line moves but the middle one."""
+    base = tmp_path_factory.mktemp("reversed")
+    cfg, lines = small_config(demo[1], base, *inputs)
+    bundle = build(cfg, base / "bundle")
+    assert_line_order_changes_only_the_corpus_and_topics(cfg, base, lines, bundle, lines[::-1], "reversed")
+
+
+@pytest.mark.filterwarnings("ignore:topic count .* exceeds vocabulary size")  # the random texts share few words
+def test_seed_flip_and_user_prefix_on_acyclic_corpora(demo, tmp_path_factory):
+    """Every interaction aims at a user with a higher index, so each group
+    base is acyclic and ``eigenvector_centrality`` takes its exact branch,
+    in the forked child that runs ``metrics``; the records show it did."""
+    runs = tmp_path_factory.mktemp("acyclic") / "eigenvector_runs.jsonl"
+    eigenvector_run = netmetrics._eigenvector_run
+
+    def recording(net, tol, max_iter):
+        run = eigenvector_run(net, tol, max_iter)
+        append_record(runs, [run.acyclic, len(net.edges)])
+        return run
+
+    @settings(max_examples=20)
+    @given(inputs=small_inputs(ascending=True))
+    def check(inputs):
+        corpus, seeds = inputs
+        base = tmp_path_factory.mktemp("acyclic")
+        cfg, lines = small_config(demo[1], base, corpus, seeds)
+        bundle = build(cfg, base / "bundle")
+        assert_seed_sign_flip_swaps_the_camps(cfg, base, seeds, bundle)
+        assert_user_id_prefix_renames_it_in_every_file(cfg, base, lines, bundle)
+
+    with patch.object(netmetrics, "_eigenvector_run", recording):
+        check()
+    records = read_records(runs)
+    assert all(acyclic for acyclic, _ in records)
+    assert any(edges for _, edges in records)

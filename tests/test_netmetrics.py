@@ -23,6 +23,7 @@ from util import (
     oracle_acyclic_centrality,
     oracle_density,
     oracle_eigencentrality,
+    oracle_power_iteration,
     oracle_reciprocity,
     oracle_top_k,
     random_network,
@@ -252,6 +253,28 @@ class TestEigenvectorRun:
         assert (empty.scores, empty.steps, empty.acyclic, empty.converged) == ({}, 0, True, True)
 
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["cyclic", "edgeless", "empty"]),
+        max_iter=st.sampled_from([1, 7, 1000]),
+    )
+    def test_iterative_branch_equals_the_add_at_reference(self, seed, shape, max_iter):
+        """Bit for bit: one ``bincount`` per step makes the same additions,
+        in the same order, as ``np.add.at`` onto a copy of v."""
+        net = random_network(np.random.default_rng(seed), max_nodes=12)
+        if shape == "cyclic":
+            a, b = sorted(net.nodes)[:2]
+            net.edges.setdefault((a, b), 1)
+            net.edges.setdefault((b, a), 2)
+        elif shape == "edgeless":
+            net.edges.clear()
+        else:
+            net = CommNetwork(kind=NetworkKind.INFLUENCE_BASE)
+        run = netmetrics._eigenvector_run(net, 1e-10, max_iter)
+        assert run.acyclic is (shape != "cyclic")
+        assert (run.scores, run.steps, run.last_step) == oracle_power_iteration(net, 1e-10, max_iter)
+
+
 def star_base(n_fans=5):
     """n accounts each retweet X once; received orientation."""
     corpus = make_corpus(
@@ -306,6 +329,14 @@ class TestSuperSpreaders:
                 edges={pair: w * 2 for pair, w in net.edges.items()},
             )
             assert super_spreaders(net, 3).super_accounts == super_spreaders(scaled, 3).super_accounts
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_the_two_counts_are_ints(self, seed):
+        net = random_network(np.random.default_rng(seed), max_nodes=10)
+        for user, (received, _, sources) in super_spreaders(net, 3).measures.items():
+            out = [w for (x, _), w in net.edges.items() if x == user]
+            assert type(received) is int and received == sum(out)
+            assert type(sources) is int and sources == len(out)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

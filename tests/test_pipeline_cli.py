@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.resources
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -265,6 +267,47 @@ class TestProvenance:
             run_stage("classify", change(cfg))
         assert info.value.stage == "classify"
         assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("key", ["code_digest", "numpy_version"])
+    @pytest.mark.parametrize("rewrite", ["change", "drop"])
+    def test_classify_refuses_a_bundle_from_other_code_or_numpy(self, demo_cfg, key, rewrite):
+        """A staged bundle whose manifest names other code, another NumPy, or
+        neither (as written before they were recorded) is refused, and its
+        manifest is left as it was."""
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("classify")]:
+            run_stage(stage, cfg)
+        path = cfg.output_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert (manifest["code_digest"], manifest["numpy_version"]) == (pipeline._code_digest(), numpy.__version__)
+        if rewrite == "change":
+            manifest[key] = "0" + manifest[key]
+        else:
+            del manifest[key]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(StageError, match="run the ingest stage first") as info:
+            run_stage("classify", cfg)
+        assert info.value.stage == "classify"
+        assert path.read_bytes() == before
+        assert not (cfg.output_dir / "stance.csv").exists()
+
+    def test_code_digest_is_over_every_py_and_txt_file_of_the_package(self):
+        files = {}
+
+        def walk(node, prefix):
+            for child in node.iterdir():
+                if child.is_dir():
+                    walk(child, f"{prefix}{child.name}/")
+                elif child.name.endswith((".py", ".txt")):
+                    files[prefix + child.name] = child.read_bytes()
+
+        walk(importlib.resources.files("stancelab"), "")
+        assert {"pipeline.py", "data/stopwords_en.txt"} <= set(files)
+        h = hashlib.sha256()
+        for rel in sorted(files):
+            h.update(rel.encode() + b"\0" + hashlib.sha256(files[rel]).digest())
+        assert pipeline._code_digest() == h.hexdigest()
 
     def test_another_name_for_the_directory_is_the_same_bundle(self, demo_cfg, tmp_path, monkeypatch):
         """The manifest check ignores ``output_dir``: a path through ``..`` and a moved bundle both pass."""

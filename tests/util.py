@@ -10,6 +10,7 @@ forked child.
 from __future__ import annotations
 
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
@@ -134,14 +135,21 @@ def oracle_graph_payload(graph: HashtagGraph) -> dict:
     }
 
 
-def random_corpus(rng: np.random.Generator, n_tweets: int, n_users: int = 8, n_tags: int = 6, allow_self: bool = False) -> Corpus:
-    """Random tweets with retweets/replies/mentions and hashtag usage."""
+def random_corpus(
+    rng: np.random.Generator, n_tweets: int, n_users: int = 8, n_tags: int = 6, allow_self: bool = False, ascending: bool = False
+) -> Corpus:
+    """Random tweets with retweets/replies/mentions and hashtag usage.
+
+    ``ascending`` draws each author from all users but the last and aims
+    every interaction at a user with a higher index, so every network built
+    from the corpus, and every subgraph of one, is acyclic."""
     users = [f"u{i}" for i in range(n_users)]
     tags = [f"tag{i}" for i in range(n_tags)]
     tweets = []
     for i in range(n_tweets):
-        author = users[rng.integers(0, n_users)]
-        others = [u for u in users if allow_self or u != author]
+        author_index = int(rng.integers(0, n_users - 1 if ascending else n_users))
+        author = users[author_index]
+        others = users[author_index + 1 :] if ascending else [u for u in users if allow_self or u != author]
         hashtags = [tags[j] for j in rng.integers(0, n_tags, size=rng.integers(0, 4))]
         retweeted = others[rng.integers(0, len(others))] if rng.random() < 0.3 else None
         reply_to = others[rng.integers(0, len(others))] if rng.random() < 0.2 else None
@@ -408,6 +416,34 @@ def oracle_acyclic_centrality(net: CommNetwork) -> tuple[list[str], np.ndarray]:
         power += 1
     vec = np.linalg.matrix_power(a, power) @ np.ones(len(nodes))
     return nodes, vec / np.linalg.norm(vec)
+
+
+def oracle_power_iteration(net: CommNetwork, tol: float, max_iter: int) -> tuple[dict[str, float], int, float]:
+    """``netmetrics._eigenvector_run``'s iterative branch as first written:
+    each (A + I) * v step adds the edge terms, in (source, target) order,
+    onto a copy of v with ``np.add.at``, then L2-normalizes.  Returns the
+    scores, the steps taken and the largest absolute change in the last one."""
+    order = sorted(net.nodes)
+    if not order:
+        return {}, 0, math.inf
+    index = {node: i for i, node in enumerate(order)}
+    edges = sorted((index[a], index[b], w) for (a, b), w in net.edges.items())
+    rows = np.array([a for a, _, _ in edges], dtype=np.intp)
+    cols = np.array([b for _, b, _ in edges], dtype=np.intp)
+    weights = np.array([w for _, _, w in edges], dtype=np.float64)
+    vec = np.full(len(order), 1.0 / np.sqrt(len(order)))
+    step = math.inf
+    steps = 0
+    while steps < max_iter:
+        nxt = vec.copy()
+        np.add.at(nxt, rows, weights * vec[cols])
+        nxt /= np.linalg.norm(nxt)
+        step = float(np.max(np.abs(nxt - vec)))
+        vec = nxt
+        steps += 1
+        if step < tol:
+            break
+    return dict(zip(order, vec.tolist())), steps, step
 
 
 def oracle_top_k(scores: dict[str, float], k: int) -> set[str]:
