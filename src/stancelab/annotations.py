@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from .corpus import Corpus
 from .fileio import parse_field, read_csv, write_csv, write_json
@@ -45,28 +46,36 @@ class BotScoreTable:
         return len(self.scores)
 
 
-def _bot_score(row: list[str]) -> tuple[str, float]:
+def _once(seen: dict[str, Any], column: str, user: str, value: Any) -> tuple[str, Any]:
+    """Add ``user``'s ``value`` to ``seen`` and return both; a user already seen with another value raises."""
+    if seen.setdefault(user, value) != value:
+        raise ValueError(f"user {user!r} given {column} {seen[user]!r} and {value!r}")
+    return user, value
+
+
+def _bot_score(seen: dict[str, float], row: list[str]) -> tuple[str, float]:
     prob = parse_field(float, row[1], "probability")
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"probability {prob} out of [0, 1]")
-    return row[0], prob
+    return _once(seen, "probability", row[0], prob)
 
 
 def load_bot_scores(path: str | Path) -> BotScoreTable:
     """Bot scores CSV: header ``user_id,probability``."""
-    return BotScoreTable(scores=dict(read_csv(path, ("user_id", "probability"), _bot_score, header_optional=True)))
+    scores = read_csv(path, ("user_id", "probability"), partial(_bot_score, {}), header_optional=True)
+    return BotScoreTable(scores=dict(scores))
 
 
-def _account_type(row: list[str]) -> tuple[str, str]:
+def _account_type(seen: dict[str, str], row: list[str]) -> tuple[str, str]:
     kind = row[1].strip().lower()
     if kind not in _ACCOUNT_TYPES:
         raise ValueError(f"unknown account type {row[1]!r}")
-    return row[0], kind
+    return _once(seen, "type", row[0], kind)
 
 
 def load_account_types(path: str | Path) -> dict[str, str]:
     """Account types CSV: header ``user_id,type`` with type in {news, other}."""
-    return dict(read_csv(path, ("user_id", "type"), _account_type, header_optional=True))
+    return dict(read_csv(path, ("user_id", "type"), partial(_account_type, {}), header_optional=True))
 
 
 def classify_bots(scores: BotScoreTable, threshold: float) -> set[str]:

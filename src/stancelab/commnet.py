@@ -14,7 +14,8 @@ subnetwork's kind is ``RECIPROCAL``.  ``attach_stances`` keeps the input's
 counts.
 
 Every edge's two ends are nodes: ``add_edge``, the builders and the
-derivations keep it so, and ``sorted_edges`` relies on it.
+derivations keep it so, and ``in_order``, the one order the writers, the
+exporters and the eigenvector centrality read a network in, relies on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus
-from .fileio import json_block, json_edges, read_json, write_csv, write_text
+from .fileio import GraphOrder, graph_order, json_block, json_edges, read_json, write_csv, write_text
 from .stance import Stance, StanceTable
 
 __all__ = [
@@ -93,15 +94,9 @@ class CommNetwork:
     def is_symmetric(self) -> bool:
         return all((b, a) in self.edges for (a, b) in self.edges)
 
-    def sorted_edges(self) -> list[tuple[str, str, int]]:
-        """The edges as ``(src, dst, weight)``, by ``(src, dst)``.  With each
-        node numbered by its place in sorted order, the int ``src * n + dst``
-        orders the edges as the name pairs do and sorts faster."""
-        names = sorted(self.nodes)
-        n = len(names)
-        index = dict(zip(names, range(n)))
-        by_key = {index[a] * n + index[b]: (a, b, w) for (a, b), w in self.edges.items()}
-        return list(map(by_key.__getitem__, sorted(by_key)))
+    def in_order(self) -> GraphOrder:
+        """``fileio.graph_order`` of the network: its names sorted, its edges by ``(src, dst)``."""
+        return graph_order(self.nodes, self.edges.items())
 
 
 def build_network(
@@ -254,14 +249,15 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _export_dot(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
+def _export_dot(net: CommNetwork, path: Path, order: GraphOrder) -> None:
+    names, edges = order
+    quoted = list(map(_dot_quote, names))
     lines = [f"digraph {net.kind.value} {{"]
-    for node in sorted(net.nodes):
+    for node, name in zip(names, quoted):
         stance = net.node_attr.get(node)
         attr = f" [stance={_dot_quote(stance)}]" if stance else ""
-        lines.append(f"  {_dot_quote(node)}{attr};")
-    for src, dst, w in edges:
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [weight={w}];")
+        lines.append(f"  {name}{attr};")
+    lines += [f"  {quoted[i]} -> {quoted[j]} [weight={w}];" for i, j, w in edges]
     lines.append("}")
     write_text(path, "\n".join(lines) + "\n")
 
@@ -278,12 +274,13 @@ def _gexf_block(tag: str, depth: int, children: list[str]) -> list[str]:
     return [f"{pad}<{tag}>", *children, f"{pad}</{tag}>"] if children else [f"{pad}<{tag} />"]
 
 
-def _export_gexf(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
+def _export_gexf(net: CommNetwork, path: Path, order: GraphOrder) -> None:
     """GEXF 1.2 in the layout of ElementTree's ``indent`` and ``tostring``,
     written as lines: building and serializing the tree cost several times more."""
+    names, edges = order
+    escaped = [node.translate(_ATTR_ESCAPES) for node in names]
     nodes = []
-    for node in sorted(net.nodes):
-        name = node.translate(_ATTR_ESCAPES)
+    for node, name in zip(names, escaped):
         stance = net.node_attr.get(node, Stance.UNCLASSIFIED.value).translate(_ATTR_ESCAPES)
         nodes += (
             f'      <node id="{name}" label="{name}">',
@@ -293,8 +290,8 @@ def _export_gexf(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]
             "      </node>",
         )
     edge_lines = [
-        f'      <edge id="{i}" source="{src.translate(_ATTR_ESCAPES)}" target="{dst.translate(_ATTR_ESCAPES)}" weight="{w}" />'
-        for i, (src, dst, w) in enumerate(edges)
+        f'      <edge id="{k}" source="{escaped[i]}" target="{escaped[j]}" weight="{w}" />'
+        for k, (i, j, w) in enumerate(edges)
     ]
     lines = [
         "<?xml version='1.0' encoding='utf-8'?>",
@@ -311,50 +308,47 @@ def _export_gexf(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _export_edge_csv(net: CommNetwork, path: Path, edges: list[tuple[str, str, int]]) -> None:
-    write_csv(path, ("src", "dst", "weight"), edges)
+def _export_edge_csv(net: CommNetwork, path: Path, order: GraphOrder) -> None:
+    names, edges = order
+    write_csv(path, ("src", "dst", "weight"), [(names[i], names[j], w) for i, j, w in edges])
 
 
 # The network export formats, by the name a config gives them.
 EXPORTERS = {"dot": _export_dot, "gexf": _export_gexf, "csv": _export_edge_csv}
 
 
-def export_graph(
-    net: CommNetwork, fmt: str, path: str | Path, edges: list[tuple[str, str, int]] | None = None
-) -> None:
+def export_graph(net: CommNetwork, fmt: str, path: str | Path, order: GraphOrder | None = None) -> None:
     """Write the network as DOT, GEXF 1.2, or edge CSV (src,dst,weight).
 
-    Edges are written in ``(src, dst)`` order.  ``edges`` is
-    ``net.sorted_edges()``; a caller writing one network several times
-    passes it, so the network is sorted once.
+    Nodes are written by name and edges in ``(src, dst)`` order.  ``order``
+    is ``net.in_order()``; a caller writing one network several times
+    passes it, so the network is put in order once.
     """
     try:
         exporter = EXPORTERS[fmt]
     except KeyError:
         raise ValueError(f"unknown export format {fmt!r}; use one of {', '.join(EXPORTERS)}") from None
-    exporter(net, Path(path), net.sorted_edges() if edges is None else edges)
+    exporter(net, Path(path), net.in_order() if order is None else order)
 
 
-def write_network_json(net: CommNetwork, path: str | Path, edges: list[tuple[str, str, int]] | None = None) -> None:
+def write_network_json(net: CommNetwork, path: str | Path, order: GraphOrder | None = None) -> None:
     """The pipeline's cached network, full fidelity: it keeps the isolated
     nodes, stance attributes and diagnostics that the edge CSV drops.  The
     bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...], "kind",
     "node_attr", "nodes", "self_loop_count"}``, rendered item by item.
-    ``edges`` is ``net.sorted_edges()``, passed by a caller that has it, as
+    ``order`` is ``net.in_order()``, passed by a caller that has it, as
     for ``export_graph``."""
     q = encode_basestring_ascii
-    if edges is None:
-        edges = net.sorted_edges()
-    nodes = sorted(net.nodes)
-    quoted = dict(zip(nodes, map(q, nodes)))  # each name is quoted once
-    attr = net.node_attr
-    quoted_attr = {n: q(n) for n in sorted(attr)} if attr.keys() != net.nodes else quoted  # attach_stances covers every node
+    names, edges = net.in_order() if order is None else order
+    quoted = list(map(q, names))  # each name is quoted once
+    attr = net.node_attr  # attach_stances keys it by every node
+    quoted_attr = zip(names, quoted) if attr.keys() == net.nodes else [(n, q(n)) for n in sorted(attr)]
     quoted_value = {v: q(v) for v in set(attr.values())}
     members = (
-        '"edges": ' + json_edges(edges, quoted),
+        '"edges": ' + json_edges(quoted, edges),
         '"kind": ' + q(net.kind.value),
-        '"node_attr": ' + json_block([f"{name}: {quoted_value[attr[n]]}" for n, name in quoted_attr.items()], 1, "{}"),
-        '"nodes": ' + json_block(quoted.values(), 1),
+        '"node_attr": ' + json_block([f"{name}: {quoted_value[attr[n]]}" for n, name in quoted_attr], 1, "{}"),
+        '"nodes": ' + json_block(quoted, 1),
         '"self_loop_count": ' + int.__repr__(net.self_loop_count),
     )
     write_text(path, json_block(members, 0, "{}") + "\n")

@@ -23,8 +23,9 @@ was (or no file) and never a truncated one.
 reports each bad line on its own.  The large files (the cached networks
 and hashtag graph, and ``corpus.jsonl``) are rendered by their writers from
 pre-encoded items, through ``json_block`` for the JSON layout and
-``json_edges`` for their ``[a, b, w]`` edges, with the same bytes
-``write_json`` and ``write_jsonl`` would write.
+``json_edges`` for their ``[a, b, w]`` edges, in the one order
+``graph_order`` gives a graph, with the same bytes ``write_json`` and
+``write_jsonl`` would write; each name is encoded once per file.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "read_json",
     "json_block",
     "json_edges",
+    "graph_order",
     "jsonl_line",
     "write_jsonl",
     "write_csv",
@@ -92,13 +94,26 @@ def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
 _EDGE_OPEN, _EDGE_SEP, _, _EDGE_CLOSE = json_block(("%s",) * 3, 2).split("%s")
 
 
-def json_edges(edges: Iterable[tuple[str, str, int]], quoted: dict[str, str]) -> str:
-    """The ``json_block`` of ``[a, b, w]`` arrays, one per edge, as the value of
-    a top-level member; ``quoted`` maps each name to its encoded string, so a
-    name is quoted once however many edges it ends."""
+GraphOrder = tuple[list[str], list[tuple[int, int, int]]]
+
+
+def graph_order(nodes: Iterable[str], edges: Iterable[tuple[tuple[str, str], int]]) -> GraphOrder:
+    """The node names sorted, and each ``((a, b), weight)`` edge, given once, as ``(i, j, weight)``
+    between places in that list, by ``(i, j)``: the int ``i * n + j`` sorts faster than the name pairs."""
+    names = sorted(nodes)
+    n = len(names)
+    index = dict(zip(names, range(n)))
+    by_key = {(i := index[a]) * n + (j := index[b]): (i, j, w) for (a, b), w in edges}
+    return names, list(map(by_key.__getitem__, sorted(by_key)))
+
+
+def json_edges(quoted: Sequence[str], edges: Iterable[tuple[int, int, int]]) -> str:
+    """The ``json_block`` of ``[a, b, w]`` arrays, one per ``(i, j, w)`` edge
+    of a ``GraphOrder``, as the value of a top-level member; ``quoted`` holds
+    each name encoded, in the order's places."""
     sep, close = _EDGE_SEP, _EDGE_CLOSE
-    opening = {name: _EDGE_OPEN + q + sep for name, q in quoted.items()}  # up to b
-    return json_block([f"{opening[a]}{quoted[b]}{sep}{w:d}{close}" for a, b, w in edges], 1)
+    opening = [_EDGE_OPEN + q + sep for q in quoted]  # up to b
+    return json_block([f"{opening[i]}{quoted[j]}{sep}{w:d}{close}" for i, j, w in edges], 1)
 
 
 def read_json(path: str | Path) -> Any:

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import Corpus, normalize_hashtag
-from .fileio import json_block, json_edges, parse_field, read_csv, read_json, write_csv, write_text
+from .fileio import GraphOrder, graph_order, json_block, json_edges, parse_field, read_csv, read_json, write_csv, write_text
 
 __all__ = [
     "HashtagGraph",
@@ -65,11 +65,9 @@ class HashtagGraph:
     def weight(self, a: str, b: str) -> int:
         return self.adj.get(a, {}).get(b, 0)
 
-    def edges(self) -> list[tuple[str, str, int]]:
-        """Each undirected edge once, endpoints ordered, sorted."""
-        out = [(a, b, w) for a, nbrs in self.adj.items() for b, w in nbrs.items() if a < b]
-        out.sort()
-        return out
+    def in_order(self) -> GraphOrder:
+        """``fileio.graph_order`` of the graph, each undirected edge once with ``i < j``."""
+        return graph_order(self.adj, (((a, b), w) for a, nbrs in self.adj.items() for b, w in nbrs.items() if a < b))
 
     def set_label(self, node: str, value: float) -> None:
         if node not in self.adj:
@@ -264,12 +262,12 @@ def write_graph_json(graph: HashtagGraph, path: str | Path) -> None:
     The bytes are ``write_json``'s for ``{"edges": [[a, b, w], ...],
     "labels", "nodes"}``, rendered item by item."""
     q = encode_basestring_ascii
-    nodes = sorted(graph.adj)
-    quoted = dict(zip(nodes, map(q, nodes)))  # each name is quoted once
+    names, edges = graph.in_order()
+    quoted = list(map(q, names))  # each name is quoted once
     members = (
-        '"edges": ' + json_edges(graph.edges(), quoted),
+        '"edges": ' + json_edges(quoted, edges),
         '"labels": ' + json_block([f"{q(n)}: {float.__repr__(graph.labels[n])}" for n in sorted(graph.labels)], 1, "{}"),
-        '"nodes": ' + json_block(quoted.values(), 1),
+        '"nodes": ' + json_block(quoted, 1),
     )
     write_text(path, json_block(members, 0, "{}") + "\n")
 

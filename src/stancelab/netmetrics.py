@@ -139,20 +139,14 @@ class _EigenRun:
 
 def _eigenvector_run(net: CommNetwork, tol: float, max_iter: int) -> _EigenRun:
     """``eigenvector_centrality``, with how its iteration ended."""
-    order = sorted(net.nodes)
+    order, edges = net.in_order()
     n = len(order)
     if n == 0:
         return _EigenRun({}, 0, math.inf, True, True)
-    index = dict(zip(order, range(n)))
-    sources = [index[a] for a, _ in net.edges]
-    targets = [index[b] for _, b in net.edges]
-    longest = _longest_path(n, sources, targets)
-    # The edges in (source, target) order: the sums below add them in it.
-    rows = np.array(sources, dtype=np.intp)
-    cols = np.array(targets, dtype=np.intp)
-    by_pair = np.argsort(rows * n + cols)
-    rows, cols = rows[by_pair], cols[by_pair]
-    weights = np.fromiter(net.edges.values(), dtype=np.float64, count=len(net.edges))[by_pair]
+    longest = _longest_path(n, edges)
+    # The edges come in (source, target) order: the sums below add them in it.
+    rows, cols, weights = np.array(edges, dtype=np.float64).reshape(-1, 3).T
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
 
     vec = np.full(n, 1.0 / np.sqrt(n))
     if len(rows) and longest is not None:  # then longest >= 1
@@ -175,13 +169,13 @@ def _eigenvector_run(net: CommNetwork, tol: float, max_iter: int) -> _EigenRun:
     return _EigenRun(dict(zip(order, vec.tolist())), steps, step, longest is not None, step < tol)
 
 
-def _longest_path(n: int, sources: list[int], targets: list[int]) -> int | None:
-    """Edges on a longest path of the graph with edges sources[e] ->
-    targets[e] over nodes 0..n-1, or None when it has a cycle (Kahn's
+def _longest_path(n: int, edges: list[tuple[int, int, int]]) -> int | None:
+    """Edges on a longest path of the graph with edges ``(a, b, weight)``,
+    a -> b, over nodes 0..n-1, or None when it has a cycle (Kahn's
     algorithm: a cycle keeps some node's in-degree above 0)."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indegree = [0] * n
-    for a, b in zip(sources, targets):
+    for a, b, _ in edges:
         succ[a].append(b)
         indegree[b] += 1
     depth = [0] * n

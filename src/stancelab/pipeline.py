@@ -187,6 +187,8 @@ class PipelineConfig:
         for name, path in self.input_files().items():
             if not path.is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
+            if path.resolve().is_relative_to(Path(self.output_dir).resolve()):  # a new build would delete it
+                raise ConfigError(f"{name} lies inside output_dir {self.output_dir}: {path}")
         if self.reciprocal_base not in _NETWORK_NAMES[:4]:
             raise ConfigError(f"reciprocal_base must be one of {_NETWORK_NAMES[:4]}")
         for fmt in self.export_formats:
@@ -305,7 +307,7 @@ _INTERMEDIATES: dict[str, _Intermediate] = {
         name: _Intermediate(
             f"{NETWORKS_DIR}/{name}.json",
             lambda p: read_network_json(p),
-            lambda v, p, edges=None: write_network_json(v, p, edges),
+            lambda v, p, order=None: write_network_json(v, p, order),
         )
         for name in _NETWORK_NAMES
     },
@@ -449,10 +451,10 @@ def stage_networks(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> N
     nets["reciprocal"] = reciprocal_subnetwork(nets[cfg.reciprocal_base])
     for name in _NETWORK_NAMES:
         net = attach_stances(nets[name], stance)
-        edges = net.sorted_edges()  # once, for every file that lists them
-        bundle.put(name, net, edges=edges)
+        order = net.in_order()  # once, for every file that lists the network
+        bundle.put(name, net, order=order)
         for fmt in cfg.export_formats:
-            export_graph(net, fmt, bundle.file(_export_path(name, fmt)), edges)
+            export_graph(net, fmt, bundle.file(_export_path(name, fmt)), order)
 
 
 def stage_metrics(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,17 @@ class TestLoadBotScores:
         with pytest.raises(ValueError, match="line 2"):
             load_bot_scores(path)
 
+    def test_a_user_given_two_probabilities_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("user_id,probability\nu1,0.2\nu2,0.7\nu1,0.9\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: user 'u1' given probability 0.2 and 0.9$"):
+            load_bot_scores(path)
+
+    def test_a_repeated_equal_probability_is_accepted(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("u1,0.5\nu2,0.1\nu1,0.50\n", encoding="utf-8")
+        assert list(load_bot_scores(path).scores.items()) == [("u1", 0.5), ("u2", 0.1)]
+
 
 class TestLoadAccountTypes:
     def test_ok(self, tmp_path):
@@ -57,6 +70,17 @@ class TestLoadAccountTypes:
         path.write_text("user_id,type\nu1,celebrity\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             load_account_types(path)
+
+    def test_a_user_given_two_types_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "types.csv"
+        path.write_text("user_id,type\nu1,news\n\nu1,other\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: user 'u1' given type 'news' and 'other'$"):
+            load_account_types(path)
+
+    def test_a_repeated_equal_type_is_accepted(self, tmp_path):
+        path = tmp_path / "types.csv"
+        path.write_text("user_id,type\nu1,news\nu2,other\nu1,NEWS\n", encoding="utf-8")
+        assert list(load_account_types(path).items()) == [("u1", "news"), ("u2", "other")]
 
 
 class TestClassifyBots:

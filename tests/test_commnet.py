@@ -19,6 +19,7 @@ from stancelab.commnet import (
     write_network_json,
 )
 from stancelab.corpus import extract_interactions
+from stancelab.hashtag_graph import HashtagGraph
 from stancelab.stance import Stance, StanceRow, StanceTable
 from util import (
     ESCAPED_CHARS,
@@ -410,12 +411,38 @@ def test_subgraphs_from_one_split_equal_whole_network_scans(seed, groups):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sorted_edges_follow_the_name_pairs(seed):
     net = random_network(np.random.default_rng(seed), max_nodes=14)
-    assert net.sorted_edges() == [(a, b, w) for (a, b), w in sorted(net.edges.items())]
+    names, edges = net.in_order()
+    assert names == sorted(net.nodes)
+    assert [(names[i], names[j], w) for i, j, w in edges] == [(a, b, w) for (a, b), w in sorted(net.edges.items())]
+
+
+@given(
+    st.sets(names, max_size=6),
+    st.dictionaries(st.tuples(names, names).filter(lambda p: p[0] != p[1]), st.integers(1, 2**40), max_size=10),
+)
+def test_in_order_of_both_graphs_is_the_sorted_name_pairs(nodes, edges):
+    """Escaped names, isolated nodes, and the empty graph, for a network and
+    for the hashtag graph built on the same pairs."""
+    net = CommNetwork(kind=NetworkKind.MENTION, nodes=nodes | {n for pair in edges for n in pair}, edges=edges)
+    listed, ordered = net.in_order()
+    assert listed == sorted(net.nodes)
+    assert [(listed[i], listed[j], w) for i, j, w in ordered] == sorted((a, b, w) for (a, b), w in edges.items())
+
+    graph = HashtagGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for (a, b), w in edges.items():
+        graph.add_edge(a, b, w)
+    listed, ordered = graph.in_order()
+    assert listed == sorted(graph.adj)
+    assert all(i < j for i, j, _ in ordered)
+    pairs = {(min(a, b), max(a, b)): graph.adj[a][b] for a, b in edges}
+    assert [(listed[i], listed[j], w) for i, j, w in ordered] == sorted((a, b, w) for (a, b), w in pairs.items())
 
 
 @pytest.mark.parametrize("formats", [(), ("csv",), ("csv", "gexf", "dot")])
 def test_networks_stage_sorts_each_network_once(tmp_path, monkeypatch, formats):
-    """However many files list a network's edges, its edges are sorted once."""
+    """However many files list a network's edges, its ``in_order`` form is worked out once."""
     from stancelab import pipeline
     from stancelab.demo import write_demo_config
 
@@ -424,13 +451,13 @@ def test_networks_stage_sorts_each_network_once(tmp_path, monkeypatch, formats):
     for stage in pipeline.STAGE_ORDER[: pipeline.STAGE_ORDER.index("networks")]:
         pipeline.run_stage(stage, cfg)
     sorted_kinds = []
-    sort = CommNetwork.sorted_edges
+    in_order = CommNetwork.in_order
 
     def counting(net):
         sorted_kinds.append(net.kind)
-        return sort(net)
+        return in_order(net)
 
-    monkeypatch.setattr(CommNetwork, "sorted_edges", counting)
+    monkeypatch.setattr(CommNetwork, "in_order", counting)
     pipeline.run_stage("networks", cfg)
     kinds = [read_network_json(cfg.output_dir / "networks" / f"{name}.json").kind for name in pipeline._NETWORK_NAMES]
     assert sorted_kinds == kinds
@@ -441,8 +468,8 @@ def test_export_with_the_sorted_edges_passed_writes_the_same_bytes(tmp_path, fmt
     net = random_network(np.random.default_rng(5))
     net.node_attr = {n: Stance.BELIEVER.value for n in net.nodes}
     export_graph(net, fmt, tmp_path / "own")
-    export_graph(net, fmt, tmp_path / "passed", net.sorted_edges())
+    export_graph(net, fmt, tmp_path / "passed", net.in_order())
     write_network_json(net, tmp_path / "own.json")
-    write_network_json(net, tmp_path / "passed.json", net.sorted_edges())
+    write_network_json(net, tmp_path / "passed.json", net.in_order())
     assert (tmp_path / "own").read_bytes() == (tmp_path / "passed").read_bytes()
     assert (tmp_path / "own.json").read_bytes() == (tmp_path / "passed.json").read_bytes()

@@ -22,12 +22,12 @@ def test_json_dialect(tmp_path):
 
 
 def test_json_edges_is_the_json_layout_of_edge_arrays():
-    names = ("a", 'é"\\', "b")
-    quoted = {name: json.dumps(name) for name in names}
-    edges = [("a", "b", 3), ("a", 'é"\\', 1), ('é"\\', "a", 12)]
-    document = fileio.json_block(['"edges": ' + fileio.json_edges(edges, quoted)], 0, "{}") + "\n"
-    assert document == json.dumps({"edges": [list(edge) for edge in edges]}, indent=2) + "\n"
-    assert fileio.json_edges([], quoted) == "[]"
+    names = ["a", 'é"\\', "b"]
+    quoted = [json.dumps(name) for name in names]
+    edges = [(0, 2, 3), (0, 1, 1), (1, 0, 12)]
+    document = fileio.json_block(['"edges": ' + fileio.json_edges(quoted, edges)], 0, "{}") + "\n"
+    assert document == json.dumps({"edges": [[names[i], names[j], w] for i, j, w in edges]}, indent=2) + "\n"
+    assert fileio.json_edges(quoted, []) == "[]"
 
 
 def test_jsonl_dialect(tmp_path):

@@ -73,6 +73,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="corpus_path"):
             broken.validate()
 
+    def test_an_input_file_inside_output_dir_fails_validation(self, demo_cfg):
+        _, cfg = demo_cfg
+        (cfg.output_dir / "sub").mkdir(parents=True)
+        for name, path in cfg.input_files().items():
+            (cfg.output_dir / path.name).write_bytes(path.read_bytes())
+            inside = cfg.output_dir / "sub" / ".." / path.name  # another spelling of the same file
+            with pytest.raises(ConfigError, match=f"^{name} lies inside output_dir"):
+                replace(cfg, **{name: inside}).validate()
+        inputs = cfg.seed_file.parent
+        replace(cfg, output_dir=Path(str(inputs)[:-1])).validate()  # a name that only starts the inputs' directory
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         write_demo_inputs(tmp_path)
         cfg_file = tmp_path / "c.cfg"
@@ -450,6 +461,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"stage {command} failed:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    @pytest.mark.parametrize("rel", ["seeds.csv", "networks/seeds.csv"])
+    def test_an_input_file_inside_output_dir_exits_2_and_deletes_nothing(self, demo_cfg, capsys, command, rel):
+        """A new build would delete it: ``run`` with the old bundle, ``ingest`` as a file the bundle does not list."""
+        cfg_path, cfg = demo_cfg
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        seeds = cfg.output_dir / rel
+        seeds.write_bytes(cfg.seed_file.read_bytes())
+        before = digest_tree(cfg.output_dir, skip_manifest=False)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--seed-file", str(seeds)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed_file lies inside output_dir")
+        assert digest_tree(cfg.output_dir, skip_manifest=False) == before
+        assert seeds.read_bytes() == cfg.seed_file.read_bytes()
 
     def test_staged_subcommands_match_run(self, demo_cfg, tmp_path, capsys):
         cfg_path, cfg = demo_cfg

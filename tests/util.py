@@ -130,7 +130,7 @@ def oracle_graph_payload(graph: HashtagGraph) -> dict:
     """The object ``write_graph_json`` writes, as ``json`` would take it."""
     return {
         "nodes": sorted(graph.adj),
-        "edges": [[a, b, w] for a, b, w in graph.edges()],
+        "edges": sorted([a, b, w] for a, nbrs in graph.adj.items() for b, w in nbrs.items() if a < b),
         "labels": {n: graph.labels[n] for n in sorted(graph.labels)},
     }
 
