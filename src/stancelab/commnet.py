@@ -360,6 +360,6 @@ def read_network_json(path: str | Path) -> CommNetwork:
         kind=NetworkKind(data["kind"]),
         nodes=set(data["nodes"]),
         edges={(a, b): int(w) for a, b, w in data["edges"]},
-        node_attr=dict(data.get("node_attr", {})),
-        self_loop_count=int(data.get("self_loop_count", 0)),
+        node_attr=dict(data["node_attr"]),
+        self_loop_count=int(data["self_loop_count"]),
     )

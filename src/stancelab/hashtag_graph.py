@@ -279,6 +279,6 @@ def read_graph_json(path: str | Path) -> HashtagGraph:
         graph.add_node(node)
     for a, b, w in data["edges"]:
         graph.add_edge(a, b, int(w))
-    for node, value in data.get("labels", {}).items():
+    for node, value in data["labels"].items():
         graph.set_label(node, float(value))
     return graph

@@ -511,11 +511,11 @@ def stage_text(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> None:
         frequencies = unigram_frequencies(views[cfg.frequencies_include_hashtags], cfg.top_n_words)
         write_frequency_csv(frequencies, bundle.file(FREQUENCIES_FILE.format(group.value)))
 
-        topic_docs = [doc for doc in views[cfg.topics_include_hashtags] if doc.tokens]
+        docs = views[cfg.topics_include_hashtags]
         topics_path = bundle.file(TOPICS_FILE.format(group.value))
-        if topic_docs:
+        if any(doc.tokens for doc in docs):  # lda_fit skips the empty documents
             model = lda_fit(
-                topic_docs,
+                docs,
                 cfg.lda_topics,
                 alpha=cfg.lda_alpha,
                 beta=cfg.lda_beta,

@@ -2,16 +2,14 @@
 changes bundle files, and the earliest of them is written by the stage that
 reads the field (``util.oracle_config_readers``)."""
 
-import hashlib
 from dataclasses import fields, replace
-from pathlib import Path
 
 import pytest
 
 from stancelab.demo import write_demo_config
 from stancelab.fileio import jsonl_line
 from stancelab.pipeline import STAGE_ORDER, PipelineConfig, StageError, bundle_files, run_pipeline
-from util import oracle_config_readers
+from util import digest_tree, oracle_config_readers
 
 _REQUIRED = {"corpus_path", "seed_file", "bot_scores_path", "account_types_path", "output_dir"}
 
@@ -54,14 +52,6 @@ _EXTRA_CORPUS_LINE = {
 }  # fmt: skip
 
 
-def _digests(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in root.rglob("*")
-        if p.is_file() and p.name != "manifest.json"
-    }
-
-
 def test_every_optional_field_has_a_reader_and_a_flip():
     assert set(oracle_config_readers()) == {f.name for f in fields(PipelineConfig)} - _REQUIRED
     assert set(oracle_config_readers()) == set(_FLIPS)
@@ -80,13 +70,13 @@ def test_flipping_a_field_changes_only_its_readers_files(name, tmp_path):
     flipped = replace(cfg, output_dir=tmp_path / "after", **{name: value})
     reader = oracle_config_readers()[name]
 
-    before = _digests(run_pipeline(cfg))
+    before = digest_tree(run_pipeline(cfg))
     if name == "strict_ingest":  # a malformed line is skipped, or stops a strict ingest
         with pytest.raises(StageError) as info:
             run_pipeline(flipped)
         assert info.value.stage == reader
         return
-    after = _digests(run_pipeline(flipped))
+    after = digest_tree(run_pipeline(flipped))
 
     producers = {**bundle_files(cfg), **bundle_files(flipped)}
     changed = {rel for rel in before.keys() | after.keys() if before.get(rel) != after.get(rel)}

@@ -29,21 +29,13 @@ from stancelab.pipeline import (
     run_stage,
 )
 
-from util import append_record, read_records
+from util import append_record, digest_tree, read_records
 
 
 @pytest.fixture()
 def demo_cfg(tmp_path):
     cfg_path = write_demo_config(tmp_path / "inputs", output_dir=tmp_path / "out")
     return cfg_path, PipelineConfig.from_file(cfg_path)
-
-
-def digest_tree(root: Path, skip_manifest: bool = True) -> dict[str, str]:
-    out = {}
-    for p in sorted(Path(root).rglob("*")):
-        if p.is_file() and not (skip_manifest and p.name == "manifest.json"):
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
 
 
 class TestConfig:
@@ -240,6 +232,19 @@ class TestStages:
             run_stage("networks", cfg)
         assert info.value.stage == "networks"
         assert f"{stance}: line {line_no}: 'bogus' is not a valid Stance" in str(info.value)
+
+    def test_a_cached_network_without_a_key_its_writer_writes_fails_the_reader(self, demo_cfg):
+        _, cfg = demo_cfg
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("metrics")]:
+            run_stage(stage, cfg)
+        path = cfg.output_dir / "networks" / "mention.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["self_loop_count"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StageError) as info:
+            run_stage("metrics", cfg)
+        assert info.value.stage == "metrics"
+        assert "self_loop_count" in str(info.value)
 
     def test_report_names_missing_producer(self, demo_cfg):
         _, cfg = demo_cfg

@@ -9,6 +9,7 @@ forked child.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -16,6 +17,7 @@ import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from datetime import datetime
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +46,17 @@ def read_records(path) -> list:
     """The values ``append_record`` appended to ``path``, in order."""
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
+
+
+def digest_tree(root, skip_manifest: bool = True) -> dict[str, str]:
+    """Each file under ``root``, by path relative to it, to its SHA-256; the
+    manifest, which carries a timestamp, is left out unless asked for."""
+    root = Path(root)
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and not (skip_manifest and p.name == "manifest.json")
+    }
 
 
 def make_tweet(
