@@ -7,11 +7,11 @@ actor -> target; self-interactions are excluded from edges but tallied in
 ``self_loop_count``.
 
 The derivations (``reciprocal_subnetwork``, ``group_subgraph``,
-``attach_stances``, ``transpose``) copy: the result shares no set or dict
-with its input.  Each keeps the input's ``kind``, except that the reciprocal
-subnetwork's kind is ``RECIPROCAL``.  ``attach_stances`` keeps the input's
-``self_loop_count``; the other three set it to 0.  A union sums its parts'
-counts.
+``attach_stances``, ``transpose``) and ``weighted_union`` copy: the result
+shares no set or dict with an input.  Each derivation keeps the input's
+``kind``, except that the reciprocal subnetwork's kind is ``RECIPROCAL``.
+``attach_stances`` keeps the input's ``self_loop_count``; the other three
+set it to 0.  A union sums its parts' counts.
 
 Every edge's two ends are nodes: ``add_edge``, the builders and the
 derivations keep it so, and ``in_order``, the one order the writers, the
@@ -40,8 +40,6 @@ __all__ = [
     "weighted_union",
     "all_communication",
     "reciprocal_subnetwork",
-    "StanceSplit",
-    "split_by_stance",
     "group_subgraph",
     "attach_stances",
     "transpose",
@@ -143,12 +141,9 @@ def weighted_union(kind: NetworkKind, parts: dict[NetworkKind, CommNetwork]) -> 
         if net.kind is not expected:
             raise ValueError(f"expected a {expected.value} network, got {net.kind.value}")
         union.nodes.update(net.nodes)
-        if union.edges:
-            edges = union.edges
-            for edge, w in net.edges.items():
-                edges[edge] = edges.get(edge, 0) + w
-        else:
-            union.edges = dict(net.edges)
+        edges = union.edges
+        for edge, w in net.edges.items():
+            edges[edge] = edges.get(edge, 0) + w
         union.self_loop_count += net.self_loop_count
     return union
 
@@ -182,54 +177,17 @@ def reciprocal_subnetwork(net: CommNetwork) -> CommNetwork:
     )
 
 
-@dataclass(frozen=True)
-class StanceSplit:
-    """One network's nodes by the node's stance, and its edges by the
-    stances of their two ends: ``edges[s][t]`` holds the edges from a node
-    of stance s to one of stance t."""
-
-    nodes: dict[Stance, set[str]]
-    edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]]
-
-
-def split_by_stance(net: CommNetwork, table: StanceTable) -> StanceSplit:
-    """``net`` split once by stance, for ``group_subgraph`` to assemble any
-    number of subgraphs from.  Nodes missing from the table (e.g. accounts
-    that never authored a tweet) count as unclassified."""
-    stance = table.stances_of(net.nodes)
-    nodes: dict[Stance, set[str]] = {s: set() for s in Stance}
-    for node, s in stance.items():
-        nodes[s].add(node)
-    edges: dict[Stance, dict[Stance, dict[tuple[str, str], int]]] = {s: {t: {} for t in Stance} for s in Stance}
-    out_parts = {node: edges[s] for node, s in stance.items()}  # a node's out-edges, by the target's stance
-    for edge, w in net.edges.items():
-        a, b = edge
-        out_parts[a][stance[b]][edge] = w
-    return StanceSplit(nodes, edges)
-
-
-def group_subgraph(
-    net: CommNetwork, table: StanceTable, groups: Iterable[Stance], *, split: StanceSplit | None = None
-) -> CommNetwork:
+def group_subgraph(net: CommNetwork, table: StanceTable, groups: Iterable[Stance]) -> CommNetwork:
     """Induced subgraph on nodes whose stance is in ``groups``, with their
     ``node_attr`` entries.
 
     Nodes missing from the table (e.g. accounts that never authored a tweet)
-    count as unclassified.  ``split`` is ``split_by_stance(net, table)``;
-    a caller taking several subgraphs of one network passes it, so the
-    network is scanned once.
+    count as unclassified.
     """
     wanted = set(groups)
-    wanted = [s for s in Stance if s in wanted]  # in a fixed order, so the dicts are built alike every run
-    if split is None:
-        split = split_by_stance(net, table)
-    keep: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
-    for s in wanted:
-        keep |= split.nodes[s]
-        for t in wanted:
-            edges |= split.edges[s][t]
-    node_attr = {node: value for node, value in net.node_attr.items() if node in keep}  # in net's order, not the set's
+    keep = {node for node, s in table.stances_of(net.nodes).items() if s in wanted}
+    edges = {(a, b): w for (a, b), w in net.edges.items() if a in keep and b in keep}
+    node_attr = {node: value for node, value in net.node_attr.items() if node in keep}
     return replace(net, nodes=keep, edges=edges, node_attr=node_attr, self_loop_count=0)
 
 

@@ -99,7 +99,13 @@ GraphOrder = tuple[list[str], list[tuple[int, int, int]]]
 
 def graph_order(nodes: Iterable[str], edges: Iterable[tuple[tuple[str, str], int]]) -> GraphOrder:
     """The node names sorted, and each ``((a, b), weight)`` edge, given once, as ``(i, j, weight)``
-    between places in that list, by ``(i, j)``: the int ``i * n + j`` sorts faster than the name pairs."""
+    between places in that list, by ``(i, j)``.
+
+    The int ``i * n + j`` sorts faster than the name pairs when the edges come
+    in build order, as they do in the pipeline: with a name-pair sort the
+    seed-101 ``crowd`` ``networks`` stage took about 130 ms instead of 100 ms.
+    Edges read back from a written, already sorted file sort equally fast
+    either way, so a timing on re-read networks hides the difference."""
     names = sorted(nodes)
     n = len(names)
     index = dict(zip(names, range(n)))

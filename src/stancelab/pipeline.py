@@ -65,7 +65,6 @@ from .commnet import (
     group_subgraph,
     read_network_json,
     reciprocal_subnetwork,
-    split_by_stance,
     write_network_json,
 )
 from .corpus import dump_corpus, load_corpus
@@ -194,6 +193,8 @@ class PipelineConfig:
         for fmt in self.export_formats:
             if fmt not in EXPORTERS:
                 raise ConfigError(f"unknown export format {fmt!r}; use one of {', '.join(EXPORTERS)}")
+        if len(set(self.export_formats)) < len(self.export_formats):
+            raise ConfigError("export_formats names a format twice")
         if self.min_cooccurrence < 1 or self.gamma < 1 or self.max_passes < 1:
             raise ConfigError("min_cooccurrence, gamma, and max_passes must be >= 1")
         if self.top_k < 1 or self.lda_topics < 1 or self.top_n_words < 1:
@@ -206,8 +207,8 @@ class PipelineConfig:
             raise ConfigError("lda_iterations and rng_seed must be >= 0")
         if any(not 0.0 <= t <= 1.0 for t in self.sweep_grid):
             raise ConfigError("sweep_grid values must lie in [0, 1]")
-        if any(b < a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
-            raise ConfigError("sweep_grid must be ascending")
+        if any(b <= a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
+            raise ConfigError("sweep_grid must be strictly ascending")
 
     def to_text(self) -> str:
         """Canonical key=value dump (sorted keys); feeds the config hash and
@@ -236,9 +237,9 @@ class PipelineConfig:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
+            key, equals, value = (part.strip() for part in stripped.partition("="))
+            if not equals or not key:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
-            key, _, value = (part.strip() for part in stripped.partition("="))
             if key in raw:
                 raise ConfigError(f"config key {key!r} is set twice, on lines {raw[key][0]} and {line_no}")
             raw[key] = line_no, value
@@ -460,13 +461,11 @@ def stage_networks(cfg: PipelineConfig, bundle: _Bundle, *, corpus, stance) -> N
 def stage_metrics(
     cfg: PipelineConfig, bundle: _Bundle, *, stance, all_communication, mention, retweet, reciprocal
 ) -> None:
-    # Each network is split by stance once; its subgraphs are put together from the parts.
-    split = split_by_stance(all_communication, stance)
     echo_rows = []
     for group in _INFLUENCER_GROUPS:
         for with_unclassified in (False, True):
             members = {group} | ({Stance.UNCLASSIFIED} if with_unclassified else set())
-            result = echo_chamberness(group_subgraph(all_communication, stance, members, split=split))
+            result = echo_chamberness(group_subgraph(all_communication, stance, members))
             echo_rows.append(
                 {
                     "group": group.value,
@@ -487,9 +486,8 @@ def stage_metrics(
         ("super_friends", super_friends, reciprocal, FRIENDS_FILE),
     ):
         summary[kind] = {}
-        split = split_by_stance(net, stance)
         for group in _INFLUENCER_GROUPS:
-            report = measure(group_subgraph(net, stance, {group}, split=split), cfg.top_k)
+            report = measure(group_subgraph(net, stance, {group}), cfg.top_k)
             write_influencer_csv(report, bundle.file(pattern.format(group.value)))
             summary[kind][group.value] = {
                 "super_count": len(report.super_accounts),

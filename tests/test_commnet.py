@@ -14,7 +14,6 @@ from stancelab.commnet import (
     group_subgraph,
     read_network_json,
     reciprocal_subnetwork,
-    split_by_stance,
     transpose,
     write_network_json,
 )
@@ -393,19 +392,16 @@ def test_network_json_has_the_bytes_of_json_dump(tmp_path_factory, kind, nodes, 
     seed=st.integers(0, 2**32 - 1),
     groups=st.lists(st.sets(st.sampled_from(Stance)), min_size=1, max_size=4),
 )
-def test_subgraphs_from_one_split_equal_whole_network_scans(seed, groups):
-    """Nodes without a stance row, attributes on some nodes only, and one
-    split shared by several subgraphs."""
+def test_subgraphs_equal_whole_network_scans(seed, groups):
+    """Nodes without a stance row, attributes on some nodes only, and several
+    subgraphs of one network."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=12)
     stances = list(Stance)
     table = stance_table(**{n: stances[int(rng.integers(0, 3))] for n in sorted(net.nodes) if rng.random() < 0.8})
     net.node_attr = {n: "attr" + n for n in sorted(net.nodes) if rng.random() < 0.6}
-    split = split_by_stance(net, table)
     for wanted in groups:
-        expected = oracle_group_subgraph(net, table, wanted)
-        assert group_subgraph(net, table, wanted, split=split) == expected
-        assert group_subgraph(net, table, wanted) == expected
+        assert group_subgraph(net, table, wanted) == oracle_group_subgraph(net, table, wanted)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

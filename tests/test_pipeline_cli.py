@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config key 'gamma' is set twice, on lines 2 and 4"):
             PipelineConfig.from_text("# knobs\ngamma = 1\n\ngamma = 5\n")
 
+    def test_a_line_without_a_key_is_rejected(self):
+        for line in ("= 5", " = 5", "=", "gamma 5"):
+            with pytest.raises(ConfigError, match="^line 2: expected 'key = value'$"):
+                PipelineConfig.from_text(f"gamma = 1\n{line}\n")
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="corpus_path"):
             PipelineConfig.from_text("output_dir = /tmp/x\n")
@@ -101,8 +106,14 @@ class TestConfig:
             replace(cfg, gamma=0).validate()
         with pytest.raises(ConfigError):
             replace(cfg, sweep_grid=(0.5, 0.1)).validate()
+        for grid in ((0.5, 0.5), (0.1, 0.5, 0.5, 0.9)):  # a repeated threshold would write its rows twice
+            with pytest.raises(ConfigError, match="strictly ascending"):
+                replace(cfg, sweep_grid=grid).validate()
         with pytest.raises(ConfigError):
             replace(cfg, export_formats=("png",)).validate()
+        for formats in (("csv", "csv"), ("csv", "gexf", "csv")):  # a repeated format would export each network twice
+            with pytest.raises(ConfigError, match="export_formats names a format twice"):
+                replace(cfg, export_formats=formats).validate()
         with pytest.raises(ConfigError):
             replace(cfg, reciprocal_base="friendship").validate()
         for bad in (
@@ -450,6 +461,16 @@ class TestCli:
         cfg_path.write_text("corpus_path = missing.jsonl\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["sweep_grid = 0.5,0.5", "export_formats = csv,csv"])
+    def test_a_repeated_list_value_exits_2_before_any_write(self, demo_cfg, capsys, line):
+        cfg_path, cfg = demo_cfg
+        key = line.split(" ")[0]
+        kept = [row for row in cfg_path.read_text(encoding="utf-8").splitlines() if not row.startswith(key)]
+        cfg_path.write_text("\n".join([*kept, line]) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not cfg.output_dir.exists()
 
     def test_missing_intermediate_exits_1_with_stage(self, demo_cfg, capsys):
         cfg_path, _ = demo_cfg

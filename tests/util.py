@@ -809,8 +809,9 @@ def oracle_bot_threshold_sweep(corpus: Corpus, table, scores, grid, *, include_g
 
 
 def oracle_group_subgraph(net: CommNetwork, table, groups) -> CommNetwork:
-    """``commnet.group_subgraph`` as a scan of the whole network per call
-    (the code it had before it assembled subgraphs from a stance split)."""
+    """``commnet.group_subgraph`` spelled out: the nodes whose stance row (or
+    its absence, unclassified) is in ``groups``, the edges with both ends
+    kept and those nodes' attributes, each found by one scan."""
     wanted = set(groups)
     rows = table.rows
     keep = {n for n in net.nodes if (rows[n].stance if n in rows else Stance.UNCLASSIFIED) in wanted}
